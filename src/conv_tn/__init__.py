@@ -93,7 +93,6 @@ from .simplify import (
     RewriteKind,
     RewriteStep,
     SimplifyResult,
-    simplify,
     simplify_structure,
     swap_weight_vjp_to_conv,
 )

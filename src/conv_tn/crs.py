@@ -19,8 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import einsum
-from .ops import ConvSpec
+from .ops import ConvSpec, Network, execute
 from .pattern import pattern
 from .tensor import ShapeMismatch, Tensor, Unsupported
 
@@ -62,22 +61,11 @@ def axis_size(conv: ConvSpec, axis: str) -> int:
     return conv.dims[index].input_size
 
 
-_PLAN_CACHE: dict = {}
-
-
 def _contract(terms: list[str], out: str, operands: list[Tensor], groups: int) -> Tensor:
+    # the row-masked tables are the pattern of no DimSpec: no roles, no rewrites
     equation = ", ".join(terms) + " -> " + out
-    seeds = {"g": groups}
-    key = (equation, tuple(tuple(a.shape) for a in operands))
-    hit = _PLAN_CACHE.get(key)
-    if hit is None:
-        spec = einsum.parse(equation, [a.shape for a in operands], sizes=seeds)
-        if len(_PLAN_CACHE) >= 4096:
-            _PLAN_CACHE.clear()
-        hit = (spec, einsum.plan(spec))
-        _PLAN_CACHE[key] = hit
-    spec, plan_ = hit
-    return einsum.contract(spec, operands, plan_)
+    net = Network("crs_weight_vjp", equation, operands, {}, {"g": groups})
+    return execute(net)
 
 
 def masked_weight_vjp(

@@ -466,7 +466,9 @@ def _pairwise(sizes, left_idx, left, right_idx, right, surviving):
     m = _prod_sizes(sizes, left_keep)
     k = _prod_sizes(sizes, contracted)
     n = _prod_sizes(sizes, right_keep)
-    out = np.matmul(left.reshape(b, m, k), right.reshape(b, k, n))
+    lhs, rhs = left.reshape(b, m, k), right.reshape(b, k, n)
+    # an outer product: numpy's matmul is several times slower here than broadcasting
+    out = lhs * rhs if k == 1 else np.matmul(lhs, rhs)
     res_idx = tuple(batch + left_keep + right_keep)
     return res_idx, out.reshape(tuple(sizes[i] for i in res_idx))
 

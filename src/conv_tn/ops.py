@@ -387,11 +387,18 @@ _PREP_CACHE: dict = {}
 
 
 def _prepare(net: Network, use_simplify: bool):
+    """Parse, rewrite and plan ``net``, cached on everything that decides the result.
+
+    The rewrites depend on the patterns' hyper-parameters, not only on their
+    shapes, so the key holds the roles' ``DimSpec``s.  The cache is emptied
+    once it holds 4096 entries.
+    """
     key = (
         net.op,
         net.equation,
         tuple(tuple(a.shape) for a in net.operands),
         tuple(sorted(net.seeds.items())),
+        tuple(sorted(net.roles.items())),
         use_simplify,
     )
     hit = _PREP_CACHE.get(key)
@@ -408,12 +415,15 @@ def _prepare(net: Network, use_simplify: bool):
     return hit
 
 
-def _execute(net: Network, use_simplify: bool) -> Tensor:
+def execute(net: Network, use_simplify: bool = False) -> Tensor:
+    """Contract ``net``, after the pattern rewrites when ``use_simplify`` is set."""
     spec, sim, plan_ = _prepare(net, use_simplify)
-    if sim is not None:
-        out = einsum.contract(sim.spec, sim.apply(net.operands), plan_)
-    else:
+    if sim is None:
         out = einsum.contract(spec, net.operands, plan_)
+    else:
+        out = einsum.contract(sim.spec, sim.apply(net.operands), plan_)
+        if sim.fold is not None:
+            out = sim.fold.apply(out)
     if net.scale is not None:
         out = out * net.scale
     return out
@@ -429,7 +439,7 @@ def run_op(
 ) -> Tensor:
     """Generic entry point: build the network for ``op`` and contract it."""
     net = build_network(conv, op, arrays, output_padding=output_padding)
-    return _execute(net, simplify)
+    return execute(net, simplify)
 
 
 def op_cost(

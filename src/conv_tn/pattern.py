@@ -4,9 +4,10 @@ For one spatial dimension with input size ``I``, kernel size ``K``, stride
 ``S``, padding ``P``, and dilation ``D``, the pattern is the ``I x O x K``
 zero/one tensor with ``table[i, o, k] == 1`` iff ``i == k*D + o*S - P`` lands
 inside the input.  Contracting it against inputs and kernels reproduces
-convolution and everything adjoint to it; its shape for special
-hyper-parameters (dense, down-sampling) is what the rewrites in
-:mod:`conv_tn.simplify` exploit.
+convolution and everything adjoint to it.  Because each (o, k) pair names
+at most one input position, the rewrites in :mod:`conv_tn.simplify` replace
+the table by strided reads and writes for every hyper-parameter tuple; the
+dense and down-sampling kinds are the ones that need no padded copy.
 """
 
 from __future__ import annotations
@@ -105,11 +106,12 @@ class IndexPattern:
         return [tuple(int(v) for v in iok) for iok in np.argwhere(self.table)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def pattern(dim: DimSpec) -> IndexPattern:
     """The dense pattern tensor for ``dim``, cached per hyper-parameter tuple.
 
-    The cached table is marked read-only since callers share it.
+    The cache keeps the 256 most recently used tables; each is marked
+    read-only since callers share it.
     """
     o_size = output_size(dim)
     table = np.zeros((dim.input_size, o_size, dim.kernel_size), dtype=np.float64)

@@ -151,3 +151,18 @@ def test_kept_fraction_reports_mask_mean(conv):
     est = crs_weight_vjp(conv, x, v_y, cfg)
     frac = est.kept_fraction["i1"]
     assert frac in {0.0, 0.25, 0.5, 0.75, 1.0}
+
+
+def test_depthwise_after_same_shape_dense_layer():
+    # the two layers share equation and operand shapes; only the groups differ
+    dims = (DimSpec(8, 3, 1, 1), DimSpec(8, 3, 1, 1))
+    dense = ConvSpec(2, 1, 4, 4, dims)
+    depthwise = ConvSpec(2, 4, 4, 4, dims)
+    x, v_y = data(dense, seed=12)
+    mask = np.array([True, False, True, True, False, True, False, True])
+    masked_x = x * mask[:, None]
+    for conv in (dense, depthwise):
+        est = masked_weight_vjp(conv, x, v_y, {"i1": mask}, {"i1": 0.5})
+        exact = weight_vjp(conv, masked_x, v_y).weight / 0.5
+        assert est.shape == exact.shape
+        assert np.allclose(est, exact, rtol=1e-12, atol=1e-12)

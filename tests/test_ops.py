@@ -1,12 +1,18 @@
 """Convolution operations built on einsum networks."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conv_tn import ops
 from conv_tn.oracle import direct_conv, direct_unfold, toeplitz
 from conv_tn.ops import (
     OP_NAMES,
     ConvSpec,
+    WeightVjp,
     conv_forward,
     fold_output,
     input_jvp,
@@ -22,8 +28,9 @@ from conv_tn.ops import (
     weight_jvp,
     weight_vjp,
 )
-from conv_tn.pattern import DimSpec, InvalidHyperParams
+from conv_tn.pattern import DimSpec, InvalidHyperParams, output_size
 from conv_tn.tensor import ShapeMismatch, Unsupported
+from conv_tn.verify import compare, make_inputs, oracle_run
 
 
 @pytest.fixture
@@ -220,3 +227,59 @@ def test_simplify_flag_is_equivalent(small):
     a = conv_forward(small, x, w)
     b = conv_forward(small, x, w, simplify=True)
     assert np.allclose(a, b, atol=1e-12)
+
+
+# Pairs of 1d layers whose patterns have equal shapes (I x O x K) but differ
+# in stride, padding or dilation, so only the DimSpecs tell them apart.
+COLLIDING = (
+    (DimSpec(8, 2, stride=4), DimSpec(8, 2, stride=5, padding=1)),
+    (DimSpec(8, 3, padding=1), DimSpec(8, 3, padding=2, dilation=2)),
+)
+
+
+def _check_against_oracle(conv, op, seed):
+    rng = np.random.default_rng(seed)
+    arrays = make_inputs(conv, op, rng)
+    got = run_op(conv, op, arrays, simplify=True)
+    want = oracle_run(conv, op, arrays)
+    assert compare(got, want.weight if isinstance(want, WeightVjp) else want) <= 1e-12
+
+
+@pytest.mark.parametrize("pair", COLLIDING)
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_prepare_cache_tells_shape_equal_layers_apart(pair, order):
+    ops._PREP_CACHE.clear()
+    for which in order:
+        conv = ConvSpec(2, 1, 2, 3, (pair[which],))
+        _check_against_oracle(conv, "conv_forward", seed=which)
+
+
+@st.composite
+def colliding_layers(draw):
+    """Two layers equal but for stride, padding and dilation, with equal pattern shapes."""
+    op = draw(st.sampled_from(OP_NAMES))
+    dims_a, dims_b = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        size, kernel = draw(st.integers(2, 7)), draw(st.integers(1, 3))
+        options = [
+            DimSpec(size, kernel, s, p, d)
+            for s, p, d in itertools.product((1, 2, 3), (0, 1, 2), (1, 2))
+            if kernel + (kernel - 1) * (d - 1) <= size + 2 * p
+        ]
+        assume(options)
+        a = draw(st.sampled_from(options))
+        dims_a.append(a)
+        dims_b.append(draw(st.sampled_from([o for o in options if output_size(o) == output_size(a)])))
+    groups = 1 if op == "unfold_kernel" else draw(st.sampled_from((1, 2)))
+    batch = draw(st.integers(1, 2))
+    return op, ConvSpec(batch, groups, 2, 2, dims_a), ConvSpec(batch, groups, 2, 2, dims_b)
+
+
+@given(colliding_layers())
+@settings(max_examples=60, deadline=None)
+def test_shape_colliding_layers_match_oracle_in_both_orders(case):
+    op, conv_a, conv_b = case
+    for first, second in ((conv_a, conv_b), (conv_b, conv_a)):
+        ops._PREP_CACHE.clear()
+        _check_against_oracle(first, op, seed=0)
+        _check_against_oracle(second, op, seed=1)
