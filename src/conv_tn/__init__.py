@@ -94,23 +94,8 @@ from .simplify import (
     RewriteStep,
     SimplifyResult,
     simplify_structure,
-    swap_weight_vjp_to_conv,
 )
-from .tensor import (
-    OutOfBounds,
-    ShapeMismatch,
-    Tensor,
-    Unsupported,
-    add,
-    allclose,
-    max_rel_err,
-    multiply,
-    narrow,
-    permute,
-    reshape,
-    tensor,
-    zeros,
-)
+from .tensor import ShapeMismatch, Tensor, Unsupported, max_rel_err
 from .verify import (
     OpReport,
     VerifyReport,

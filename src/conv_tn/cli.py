@@ -119,17 +119,23 @@ def cmd_verify(args) -> int:
     )
     for line in report.lines():
         print(line)
-    print(f"total cases: {report.total_cases}, tolerance {report.tolerance:g}")
+    print(
+        f"total cases: {report.total_cases}, skipped={report.skipped},"
+        f" tolerance {report.tolerance:g}"
+    )
     return 0 if report.passed else 1
 
 
 def cmd_flops(args) -> int:
     rows = []
+    skipped = 0
     for name, conv in load_layers(args.config):
         for op in _selected_ops(args):
-            if op == "unfold_kernel" and conv.groups != 1:
+            try:
+                costs = op_cost(conv, op)
+            except Unsupported:
+                skipped += 1
                 continue
-            costs = op_cost(conv, op)
             rows.append(
                 {
                     "layer": name,
@@ -151,6 +157,7 @@ def cmd_flops(args) -> int:
     stream.write("\n")
     if stream is not sys.stdout:
         stream.close()
+    print(f"skipped={skipped}", file=sys.stderr)
     return 0
 
 
@@ -193,24 +200,25 @@ def cmd_bench(args) -> int:
     stream = _out_stream(args)
     writer = csv.writer(stream)
     writer.writerow(["layer", "op", "variant", "min_seconds", "flops", "max_intermediate"])
+    skipped = 0
     for name, conv in load_layers(args.config):
         for op in _selected_ops(args):
-            if op == "unfold_kernel" and conv.groups != 1:
-                continue
             arrays = make_inputs(conv, op, rng)
-            costs = op_cost(conv, op)
+            try:
+                costs = op_cost(conv, op)
+                oracle_secs = _time_call(lambda: oracle_run(conv, op, arrays), args.repeats)
+            except Unsupported:
+                skipped += 1
+                continue
             for variant, simplify in (("tn", False), ("tn_simplified", True)):
                 tn_run(conv, op, arrays, simplify=simplify)  # warm the plan cache
                 secs = _time_call(lambda: tn_run(conv, op, arrays, simplify=simplify), args.repeats)
                 cost = costs.simplified if simplify else costs.base
                 writer.writerow([name, op, variant, f"{secs:.6e}", cost.flops, cost.max_intermediate])
-            try:
-                secs = _time_call(lambda: oracle_run(conv, op, arrays), args.repeats)
-            except Unsupported:
-                continue
-            writer.writerow([name, op, "oracle", f"{secs:.6e}", "", ""])
+            writer.writerow([name, op, "oracle", f"{oracle_secs:.6e}", "", ""])
     if stream is not sys.stdout:
         stream.close()
+    print(f"skipped={skipped}", file=sys.stderr)
     return 0
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ops import ConvSpec, Network, execute
+from .ops import ConvSpec, Network, equation, execute
 from .pattern import pattern
 from .tensor import ShapeMismatch, Tensor, Unsupported
 
@@ -59,13 +59,6 @@ def axis_size(conv: ConvSpec, axis: str) -> int:
     if index >= conv.nd:
         raise Unsupported(f"axis {axis!r} does not exist on a {conv.nd}d convolution")
     return conv.dims[index].input_size
-
-
-def _contract(terms: list[str], out: str, operands: list[Tensor], groups: int) -> Tensor:
-    # the row-masked tables are the pattern of no DimSpec: no roles, no rewrites
-    equation = ", ".join(terms) + " -> " + out
-    net = Network("crs_weight_vjp", equation, operands, {}, {"g": groups})
-    return execute(net)
 
 
 def masked_weight_vjp(
@@ -122,20 +115,11 @@ def masked_weight_vjp(
     if x.size == 0:
         return np.zeros(out_shape)
 
-    nd = conv.nd
-    ivars = " ".join(f"i{d}" for d in range(1, nd + 1))
-    ovars = " ".join(f"o{d}" for d in range(1, nd + 1))
-    kvars = " ".join(f"k{d}" for d in range(1, nd + 1))
-    terms = [f"n (g c_in) {ivars}"]
-    terms += [f"i{d} o{d} k{d}" for d in range(1, nd + 1)]
-    terms.append(f"n (g c_out) {ovars}")
-    est = _contract(
-        terms,
-        f"(g c_out) c_in {kvars}",
-        [x, *tables, v_y],
-        conv.groups,
-    )
-    est = est * scale
+    # the weight VJP's equation over the masked operands; the row-masked
+    # tables are the pattern of no DimSpec, so they have no roles and no rewrites
+    eq = equation("weight_vjp", conv.nd)
+    net = Network("crs_weight_vjp", eq, [x, *tables, v_y], {}, {"g": conv.groups})
+    est = execute(net) * scale
     if c_mask is not None:
         full = np.zeros(out_shape)
         full[:, c_mask] = est

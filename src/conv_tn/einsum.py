@@ -272,10 +272,6 @@ def _assemble(spec: EinsumSpec, steps: list[PlanStep]) -> ContractionPlan:
     return ContractionPlan(tuple(steps), flops, max_inter)
 
 
-def _plan_single(spec: EinsumSpec) -> ContractionPlan:
-    return ContractionPlan((), 0, math.prod(spec.output_shape()))
-
-
 def _plan_optimal(spec: EinsumSpec) -> ContractionPlan:
     """Exact minimum-flop plan via dynamic programming over operand subsets.
 
@@ -409,7 +405,7 @@ def plan(spec: EinsumSpec) -> ContractionPlan:
     """
     n = len(spec.operand_terms)
     if n == 1:
-        return _plan_single(spec)
+        return ContractionPlan((), 0, math.prod(spec.output_shape()))
     if n <= 6:
         return _plan_optimal(spec)
     return _plan_greedy(spec)

@@ -1,35 +1,38 @@
 """Convolution operations expressed as tensor-network contractions.
 
-Every operation here builds one einsum network: the data tensors plus one
-binary index pattern per spatial dimension, contracted in a single call.
-Autodiff products (VJPs, JVPs), im2col/col2im views, Kronecker-factored
-curvature factors, Gauss-Newton diagonals and Gram matrices, and the
-diagonal Hessian approximations all reuse the same handful of index names,
-so the equations below read like the formulas they implement.
+Every operation is one entry of the table ``_OPS``: one einsum over its
+named data tensors and one binary index pattern per spatial dimension.  In
+an entry's template:
 
-Equations use per-group channel counts: ``c_in``/``c_out`` inside a term
-mean channels per group, and the grouped axis ``(g c_out)`` is the full
-channel dimension.  Scale factors (1/N and the averaged-pattern factors)
-are applied here; the engine itself never scales.
+* ``x: n (g c_in) i#`` is a term over the input array ``x``.  An op
+  consumes the arrays its terms name, in order of first appearance.
+* ``i#`` expands to ``i1 i2`` and ``i#_`` to ``i1_ i2_``.  A group left
+  with one index is that index.
+* A pattern slot ``[i o k]`` or ``[i_ o k_]`` expands to one ``I x O x K``
+  pattern term per dimension; ``[i k]`` and ``[o k]`` are the pattern
+  averaged over its missing leg.
+
+``OP_NAMES``, ``input_shapes``, the CLI's op list and the plain wrappers
+come from the table.  Channel names inside a term count channels per
+group; the grouped axis ``(g c_out)`` is the full channel dimension.  The
+1/N scale of the KFAC factors is applied here; the engine never scales.
+
+A network is planned from shapes alone and cached on (op, layer, columns,
+simplify).  A warm call formats no equation, parses nothing and fetches
+only the pattern tables that the rewrites keep.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import einsum
-from .pattern import (
-    DimSpec,
-    InvalidHyperParams,
-    averaged_pattern,
-    input_size_from_output,
-    output_size,
-    pattern,
-)
+from .pattern import DimSpec, InvalidHyperParams, input_size_from_output, output_size, pattern
 from .simplify import RewriteStep, SimplifyResult, simplify_structure
 from .tensor import ShapeMismatch, Tensor, Unsupported
 
@@ -82,7 +85,11 @@ class WeightVjp(NamedTuple):
 
 @dataclass
 class Network:
-    """One ready-to-contract tensor network."""
+    """One ready-to-contract tensor network.
+
+    ``sources`` names, per operand, the input array it holds or the
+    ``(legs, DimSpec)`` of its pattern table.
+    """
 
     op: str
     equation: str
@@ -90,6 +97,7 @@ class Network:
     roles: dict[int, DimSpec]
     seeds: dict[str, int]
     scale: float | None = None
+    sources: tuple = ()
 
 
 @dataclass
@@ -100,59 +108,105 @@ class OpCosts:
     rewrites: tuple[RewriteStep, ...]
 
 
-OP_NAMES = (
-    "conv_forward",
-    "unfold_input",
-    "unfold_kernel",
-    "fold_output",
-    "transpose_unfold",
-    "weight_vjp",
-    "per_sample_weight_vjp",
-    "input_vjp",
-    "weight_jvp",
-    "input_jvp",
-    "im2col_jvp",
-    "im2col_vjp",
-    "kfac_expand_factor",
-    "kfac_reduce_factor",
-    "kfac_expand_transpose",
-    "kfac_reduce_transpose",
-    "ggn_gram",
-    "ggn_diagonal",
-    "per_sample_ggn_diagonal",
-    "hesscale_weight_diag",
-    "per_sample_hesscale_weight_diag",
-    "hesscale_input_diag",
-)
+class _Op(NamedTuple):
+    template: str
+    batch_mean: bool = False  # scale the result by 1/N
+    ungrouped: bool = False  # defined for groups == 1 only
 
-_OP_INPUTS = {
-    "conv_forward": ("x", "w"),
-    "unfold_input": ("x",),
-    "unfold_kernel": ("w",),
-    "fold_output": ("y_like",),
-    "transpose_unfold": ("y",),
-    "weight_vjp": ("x", "v_y"),
-    "per_sample_weight_vjp": ("x", "v_y"),
-    "input_vjp": ("w", "v_y"),
-    "weight_jvp": ("x", "v_w"),
-    "input_jvp": ("v_x", "w"),
-    "im2col_jvp": ("v_x",),
-    "im2col_vjp": ("v_u",),
-    "kfac_expand_factor": ("x",),
-    "kfac_reduce_factor": ("x",),
-    "kfac_expand_transpose": ("y",),
-    "kfac_reduce_transpose": ("y",),
-    "ggn_gram": ("x", "s"),
-    "ggn_diagonal": ("x", "s"),
-    "per_sample_ggn_diagonal": ("x", "s"),
-    "hesscale_weight_diag": ("x", "d_y"),
-    "per_sample_hesscale_weight_diag": ("x", "d_y"),
-    "hesscale_input_diag": ("w", "d_y"),
+
+_X, _W, _Y, _U = "n (g c_in) i#", "(g c_out) c_in k#", "n (g c_out) o#", "n (c_in k#) (o#)"
+_GGN = f"x: {_X}, [i o k], s: c {_Y}, x: n (g c_in) i#_, [i_ o_ k], s: c n (g c_out) o#_ ->"
+_HESS = f"x: {_X}, [i o k], d_y: {_Y}, x: n (g c_in) i#_, [i_ o k] ->"
+
+_OPS = {
+    "conv_forward": _Op(f"x: {_X}, [i o k], w: {_W} -> {_Y}"),
+    "unfold_input": _Op(f"x: n c_in i#, [i o k] -> {_U}"),
+    "unfold_kernel": _Op("[i o k], w: c_out c_in k# -> (c_out o#) (c_in i#)", ungrouped=True),
+    "fold_output": _Op("y_like: n c o#, [i o k] -> n c i#"),
+    "transpose_unfold": _Op(f"y: {_Y}, [i o k] -> n (g c_out k#) (i#)"),
+    "weight_vjp": _Op(f"x: {_X}, [i o k], v_y: {_Y} -> {_W}"),
+    "per_sample_weight_vjp": _Op(f"x: {_X}, [i o k], v_y: {_Y} -> n {_W}"),
+    "input_vjp": _Op(f"w: {_W}, [i o k], v_y: {_Y} -> {_X}"),
+    "weight_jvp": _Op(f"x: {_X}, [i o k], v_w: {_W} -> {_Y}"),
+    "input_jvp": _Op(f"v_x: {_X}, [i o k], w: {_W} -> {_Y}"),
+    "im2col_jvp": _Op(f"v_x: n c_in i#, [i o k] -> {_U}"),
+    "im2col_vjp": _Op(f"[i o k], v_u: {_U} -> n c_in i#"),
+    # the KFAC factors are averaged over the batch
+    "kfac_expand_factor": _Op(
+        f"x: {_X}, [i o k], x: n (g c_in_) i#_, [i_ o k_] -> g (c_in k#) (c_in_ k#_)", True
+    ),
+    "kfac_reduce_factor": _Op(
+        f"x: {_X}, [i k], x: n (g c_in_) i#_, [i_ k_] -> g (c_in k#) (c_in_ k#_)", True
+    ),
+    "kfac_expand_transpose": _Op(
+        f"y: {_Y}, [i o k], y: n (g c_out_) o#_, [i o_ k_] -> g (c_out k#) (c_out_ k#_)", True
+    ),
+    "kfac_reduce_transpose": _Op(
+        f"y: {_Y}, [o k], y: n (g c_out_) o#_, [o_ k_] -> g (c_out k#) (c_out_ k#_)", True
+    ),
+    "ggn_gram": _Op(
+        f"x: {_X}, [i o k], s: c {_Y}, x: n_ (g c_in) i#_, [i_ o_ k], s: c_ n_ (g c_out) o#_"
+        " -> (c n) (c_ n_)"
+    ),
+    "ggn_diagonal": _Op(f"{_GGN} {_W}"),
+    "per_sample_ggn_diagonal": _Op(f"{_GGN} n {_W}"),
+    "hesscale_weight_diag": _Op(f"{_HESS} {_W}"),
+    "per_sample_hesscale_weight_diag": _Op(f"{_HESS} n {_W}"),
+    "hesscale_input_diag": _Op(
+        f"w: {_W}, [i o k], d_y: {_Y}, w: (g c_out) c_in k#_, [i o k_] -> {_X}"
+    ),
 }
+
+OP_NAMES = tuple(_OPS)
+
+
+def _expand(template: str, nd: int) -> tuple[str, tuple, tuple[str, ...]]:
+    """Equation, operand sources and input names of ``template`` over ``nd`` dimensions.
+
+    A source is an input name, or ``(legs, d)`` for the pattern of dimension
+    ``d`` whose legs (``"iok"``, ``"ik"`` or ``"ok"``) the slot lists.
+    """
+
+    def spatial(text: str) -> str:
+        text = re.sub(
+            r"\b([iok])#(_?)",
+            lambda m: " ".join(f"{m[1]}{d}{m[2]}" for d in range(1, nd + 1)),
+            text,
+        )
+        return re.sub(r"\((\S+)\)", r"\1", text)
+
+    lhs, out = template.split(" -> ")
+    terms, sources = [], []
+    for part in lhs.split(", "):
+        if part.startswith("["):
+            legs = part[1:-1].split()
+            for d in range(nd):
+                terms.append(" ".join(f"{leg[0]}{d + 1}{leg[1:]}" for leg in legs))
+                sources.append(("".join(leg[0] for leg in legs), d))
+        else:
+            name, term = part.split(": ")
+            terms.append(spatial(term))
+            sources.append(name)
+    inputs = tuple(dict.fromkeys(s for s in sources if isinstance(s, str)))
+    return ", ".join(terms) + " -> " + spatial(out), tuple(sources), inputs
+
+
+_EXPANDED = {(op, nd): _expand(entry.template, nd) for op, entry in _OPS.items() for nd in (1, 2)}
+
+
+def _expanded(op: str, nd: int) -> tuple[str, tuple, tuple[str, ...]]:
+    if op not in _OPS:
+        raise Unsupported(f"unknown operation {op!r}")
+    return _EXPANDED[op, nd]
+
+
+def equation(op: str, nd: int) -> str:
+    """The einsum equation of ``op`` over ``nd`` spatial dimensions."""
+    return _expanded(op, nd)[0]
 
 
 def input_shapes(conv: ConvSpec, op: str, columns: int = 2) -> dict[str, tuple[int, ...]]:
-    """Canonical shapes of the arrays ``op`` consumes."""
+    """Canonical shapes of the arrays ``op`` consumes, in the order its terms name them."""
     ins, outs, ks = conv.input_sizes, conv.out_sizes, conv.kernel_sizes
     cig = conv.c_in // conv.groups
     all_shapes = {
@@ -167,25 +221,18 @@ def input_shapes(conv: ConvSpec, op: str, columns: int = 2) -> dict[str, tuple[i
         "v_u": (conv.batch, conv.c_in * math.prod(ks), math.prod(outs)),
         "s": (columns, conv.batch, conv.c_out, *outs),
     }
-    if op not in _OP_INPUTS:
-        raise Unsupported(f"unknown operation {op!r}")
-    return {name: all_shapes[name] for name in _OP_INPUTS[op]}
+    return {name: all_shapes[name] for name in _expanded(op, conv.nd)[2]}
 
 
-def _transpose_padding(conv: ConvSpec, output_padding) -> tuple[int, ...]:
-    derived = tuple(
-        d.input_size + 2 * d.padding - d.span - d.stride * (output_size(d) - 1)
-        for d in conv.dims
-    )
+def _check_output_padding(conv: ConvSpec, output_padding) -> None:
+    """Raise unless ``output_padding`` (one int, or one per dimension) rebuilds every input size."""
     if output_padding is None:
-        return derived
+        return
     if isinstance(output_padding, int):
         output_padding = (output_padding,) * conv.nd
     given = tuple(int(a) for a in output_padding)
     if len(given) != conv.nd:
-        raise InvalidHyperParams(
-            f"output_padding needs {conv.nd} entries, got {len(given)}"
-        )
+        raise InvalidHyperParams(f"output_padding needs {conv.nd} entries, got {len(given)}")
     for d, a in zip(conv.dims, given):
         rebuilt = input_size_from_output(
             output_size(d), d.kernel_size, d.stride, d.padding, d.dilation, a
@@ -194,7 +241,31 @@ def _transpose_padding(conv: ConvSpec, output_padding) -> tuple[int, ...]:
             raise InvalidHyperParams(
                 f"output_padding {a} reconstructs input {rebuilt}, spec says {d.input_size}"
             )
-    return given
+
+
+def _table(legs: str, dim: DimSpec) -> Tensor:
+    table = pattern(dim).table
+    return table if legs == "iok" else table.mean(axis=1 if legs == "ik" else 0)
+
+
+def _operands(net: Network, arrays: dict, keep) -> list:
+    """``net``'s operands at the positions in ``keep``, None elsewhere.
+
+    Given arrays are checked against the placeholders' shapes, missing ones
+    stay zero placeholders, and pattern tables are fetched.
+    """
+    out: list = [None] * len(net.sources)
+    for pos in keep:
+        src, shape = net.sources[pos], net.operands[pos].shape
+        if not isinstance(src, str):
+            out[pos] = _table(*src)
+        elif arrays.get(src) is None:
+            out[pos] = net.operands[pos]
+        else:
+            a = out[pos] = np.asarray(arrays[src], dtype=np.float64)
+            if a.shape != shape:
+                raise ShapeMismatch(f"{net.op}: {src} has shape {a.shape}, expected {shape}")
+    return out
 
 
 def build_network(
@@ -207,226 +278,94 @@ def build_network(
 ) -> Network:
     """Assemble the tensor network for ``op`` over ``conv``.
 
-    Missing arrays default to zeros of the canonical shape, which is enough
-    for planning and cost queries.
+    Without ``arrays`` every operand is a zero placeholder of its shape that
+    holds no data, which is enough for planning and cost queries.  With
+    them, missing arrays stay zero and the pattern tables are filled in.
     """
-    arrays = dict(arrays or {})
-    if "s" in arrays:
-        columns = int(np.asarray(arrays["s"]).shape[0])
+    eq, sources, _ = _expanded(op, conv.nd)
+    entry = _OPS[op]
+    if entry.ungrouped and conv.groups != 1:
+        raise Unsupported(f"{op} is only defined for groups == 1")
+    _check_output_padding(conv, output_padding)
+    if arrays and "s" in arrays:
+        columns = int(np.shape(arrays["s"])[0])
     shapes = input_shapes(conv, op, columns=columns)
-
-    def get(name: str) -> Tensor:
-        a = arrays.get(name)
-        if a is None:
-            return np.zeros(shapes[name])
-        a = np.asarray(a, dtype=np.float64)
-        if tuple(a.shape) != shapes[name]:
-            raise ShapeMismatch(f"{op}: {name} has shape {a.shape}, expected {shapes[name]}")
-        return a
-
-    nd = conv.nd
-    pats = [pattern(d) for d in conv.dims]
-
-    def sp(base: str, sfx: str = "") -> str:
-        return " ".join(f"{base}{d}{sfx}" for d in range(1, nd + 1))
-
-    def grp(*names: str) -> str:
-        return "(" + " ".join(names) + ")" if len(names) > 1 else names[0]
-
-    def pat_terms(isfx: str = "", osfx: str = "", ksfx: str = "") -> list[str]:
-        return [f"i{d}{isfx} o{d}{osfx} k{d}{ksfx}" for d in range(1, nd + 1)]
-
-    ivars = [f"i{d}" for d in range(1, nd + 1)]
-    ovars = [f"o{d}" for d in range(1, nd + 1)]
-    kvars = [f"k{d}" for d in range(1, nd + 1)]
-    kvars_ = [f"k{d}_" for d in range(1, nd + 1)]
-
-    terms: list[str] = []
-    operands: list[Tensor] = []
-    roles: dict[int, DimSpec] = {}
-
-    def push(term: str, array: Tensor, role: DimSpec | None = None) -> None:
-        terms.append(term)
-        operands.append(array)
-        if role is not None:
-            roles[len(operands) - 1] = role
-
-    def push_patterns(isfx="", osfx="", ksfx="") -> None:
-        for t, p in zip(pat_terms(isfx, osfx, ksfx), pats):
-            push(t, p.table, p.dim)
-
-    scale: float | None = None
-    x_term = f"n (g c_in) {sp('i')}"
-    w_term = f"(g c_out) c_in {sp('k')}"
-    y_term = f"n (g c_out) {sp('o')}"
-
-    if op in ("conv_forward", "weight_jvp", "input_jvp"):
-        data = {"conv_forward": ("x", "w"), "weight_jvp": ("x", "v_w"), "input_jvp": ("v_x", "w")}
-        x_name, w_name = data[op]
-        push(x_term, get(x_name))
-        push_patterns()
-        push(w_term, get(w_name))
-        out = y_term
-    elif op in ("unfold_input", "im2col_jvp"):
-        push(f"n c_in {sp('i')}", get("x" if op == "unfold_input" else "v_x"))
-        push_patterns()
-        out = f"n {grp('c_in', *kvars)} {grp(*ovars)}"
-    elif op == "unfold_kernel":
-        if conv.groups != 1:
-            raise Unsupported("unfold_kernel is only defined for groups == 1")
-        push_patterns()
-        push(f"c_out c_in {sp('k')}", get("w"))
-        out = f"{grp('c_out', *ovars)} {grp('c_in', *ivars)}"
-    elif op == "fold_output":
-        push(f"n c {sp('o')}", get("y_like"))
-        push_patterns()
-        out = f"n c {sp('i')}"
-    elif op == "transpose_unfold":
-        push(y_term, get("y"))
-        push_patterns()
-        out = f"n {grp('g', 'c_out', *kvars)} {grp(*ivars)}"
-    elif op in ("weight_vjp", "per_sample_weight_vjp"):
-        push(x_term, get("x"))
-        push_patterns()
-        push(y_term, get("v_y"))
-        out = f"(g c_out) c_in {sp('k')}"
-        if op == "per_sample_weight_vjp":
-            out = "n " + out
-    elif op == "input_vjp":
-        push(w_term, get("w"))
-        push_patterns()
-        push(y_term, get("v_y"))
-        out = f"n (g c_in) {sp('i')}"
-    elif op == "im2col_vjp":
-        push_patterns()
-        push(f"n {grp('c_in', *kvars)} {grp(*ovars)}", get("v_u"))
-        out = f"n c_in {sp('i')}"
-    elif op == "kfac_expand_factor":
-        x = get("x")
-        push(x_term, x)
-        push_patterns()
-        push(f"n (g c_in_) {sp('i', '_')}", x)
-        push_patterns(isfx="_", osfx="", ksfx="_")
-        out = f"g {grp('c_in', *kvars)} {grp('c_in_', *kvars_)}"
-        scale = 1.0 / conv.batch
-    elif op == "kfac_reduce_factor":
-        x = get("x")
-        avgs = [averaged_pattern(d) for d in conv.dims]
-        push(x_term, x)
-        for d in range(1, nd + 1):
-            push(f"i{d} k{d}", avgs[d - 1])
-        push(f"n (g c_in_) {sp('i', '_')}", x)
-        for d in range(1, nd + 1):
-            push(f"i{d}_ k{d}_", avgs[d - 1])
-        out = f"g {grp('c_in', *kvars)} {grp('c_in_', *kvars_)}"
-        scale = 1.0 / conv.batch
-    elif op in ("kfac_expand_transpose", "kfac_reduce_transpose"):
-        _transpose_padding(conv, output_padding)
-        y = get("y")
-        push(y_term, y)
-        if op == "kfac_expand_transpose":
-            push_patterns()
+    sources = tuple(s if isinstance(s, str) else (s[0], conv.dims[s[1]]) for s in sources)
+    placeholders, roles = [], {}
+    for pos, src in enumerate(sources):
+        if isinstance(src, str):
+            shape = shapes[src]
         else:
-            for d in range(1, nd + 1):
-                push(f"o{d} k{d}", pats[d - 1].table.mean(axis=0))
-        push(f"n (g c_out_) {sp('o', '_')}", y)
-        if op == "kfac_expand_transpose":
-            push_patterns(isfx="", osfx="_", ksfx="_")
-        else:
-            for d in range(1, nd + 1):
-                push(f"o{d}_ k{d}_", pats[d - 1].table.mean(axis=0))
-        out = f"g {grp('c_out', *kvars)} {grp('c_out_', *kvars_)}"
-        scale = 1.0 / conv.batch
-    elif op == "ggn_gram":
-        x, s = get("x"), get("s")
-        push(x_term, x)
-        push_patterns()
-        push(f"c n (g c_out) {sp('o')}", s)
-        push(f"n_ (g c_in) {sp('i', '_')}", x)
-        push_patterns(isfx="_", osfx="_", ksfx="")
-        push(f"c_ n_ (g c_out) {sp('o', '_')}", s)
-        out = "(c n) (c_ n_)"
-    elif op in ("ggn_diagonal", "per_sample_ggn_diagonal"):
-        x, s = get("x"), get("s")
-        push(x_term, x)
-        push_patterns()
-        push(f"c n (g c_out) {sp('o')}", s)
-        push(f"n (g c_in) {sp('i', '_')}", x)
-        push_patterns(isfx="_", osfx="_", ksfx="")
-        push(f"c n (g c_out) {sp('o', '_')}", s)
-        out = f"(g c_out) c_in {sp('k')}"
-        if op == "per_sample_ggn_diagonal":
-            out = "n " + out
-    elif op in ("hesscale_weight_diag", "per_sample_hesscale_weight_diag"):
-        x, d_y = get("x"), get("d_y")
-        push(x_term, x)
-        push_patterns()
-        push(y_term, d_y)
-        push(f"n (g c_in) {sp('i', '_')}", x)
-        push_patterns(isfx="_", osfx="", ksfx="")
-        out = f"(g c_out) c_in {sp('k')}"
-        if op == "per_sample_hesscale_weight_diag":
-            out = "n " + out
-    elif op == "hesscale_input_diag":
-        w, d_y = get("w"), get("d_y")
-        push(w_term, w)
-        push_patterns()
-        push(y_term, d_y)
-        push(f"(g c_out) c_in {sp('k', '_')}", w)
-        push_patterns(isfx="", osfx="", ksfx="_")
-        out = f"n (g c_in) {sp('i')}"
-    else:
-        raise Unsupported(f"unknown operation {op!r}")
+            legs, dim = src
+            size = {"i": dim.input_size, "o": output_size(dim), "k": dim.kernel_size}
+            shape = tuple(size[leg] for leg in legs)
+            if legs == "iok":
+                roles[pos] = dim
+        placeholders.append(np.broadcast_to(0.0, shape))
+    seeds = {"g": conv.groups} if "(g " in eq else {}
+    scale = 1.0 / conv.batch if entry.batch_mean else None
+    net = Network(op, eq, placeholders, roles, seeds, scale, sources)
+    if arrays is not None:
+        net.operands = _operands(net, arrays, range(len(sources)))
+    return net
 
-    equation = ", ".join(terms) + " -> " + out
-    seeds = {"g": conv.groups} if "(g " in equation else {}
-    return Network(op, equation, operands, roles, seeds, scale)
+
+class _Prepared(NamedTuple):
+    net: Network  # the network it was planned from, with zero placeholders as operands
+    spec: einsum.EinsumSpec
+    sim: SimplifyResult | None
+    plan: einsum.ContractionPlan
 
 
 _PREP_CACHE: dict = {}
 
 
-def _prepare(net: Network, use_simplify: bool):
-    """Parse, rewrite and plan ``net``, cached on everything that decides the result.
+def _prepare(key, make_net, use_simplify: bool) -> _Prepared:
+    """Parse, rewrite and plan the network ``make_net()``, cached under ``key``.
 
-    The rewrites depend on the patterns' hyper-parameters, not only on their
-    shapes, so the key holds the roles' ``DimSpec``s.  The cache is emptied
-    once it holds 4096 entries.
+    The key holds everything that decides the result; the rewrites depend
+    on the patterns' hyper-parameters, not only on their shapes.  The cache
+    is emptied once it holds 4096 entries.
     """
-    key = (
-        net.op,
-        net.equation,
-        tuple(tuple(a.shape) for a in net.operands),
-        tuple(sorted(net.seeds.items())),
-        tuple(sorted(net.roles.items())),
-        use_simplify,
-    )
     hit = _PREP_CACHE.get(key)
     if hit is None:
+        net = make_net()
         spec = einsum.parse(net.equation, [a.shape for a in net.operands], sizes=net.seeds)
-        sim: SimplifyResult | None = None
-        if use_simplify:
-            sim = simplify_structure(spec, net.roles)
-        plan_ = einsum.plan(sim.spec if sim is not None else spec)
+        sim = simplify_structure(spec, net.roles) if use_simplify else None
+        hit = _Prepared(net, spec, sim, einsum.plan(sim.spec if sim is not None else spec))
         if len(_PREP_CACHE) >= 4096:
             _PREP_CACHE.clear()
-        hit = (spec, sim, plan_)
         _PREP_CACHE[key] = hit
     return hit
 
 
+def _planned(conv: ConvSpec, op: str, columns: int, use_simplify: bool) -> _Prepared:
+    def make_net() -> Network:
+        return build_network(conv, op, None, columns=columns)
+
+    return _prepare((op, conv, columns, use_simplify), make_net, use_simplify)
+
+
+def _contract(prep: _Prepared, operands, scale: float | None) -> Tensor:
+    if prep.sim is None:
+        out = einsum.contract(prep.spec, operands, prep.plan)
+    else:
+        out = einsum.contract(prep.sim.spec, prep.sim.apply(operands), prep.plan)
+        if prep.sim.fold is not None:
+            out = prep.sim.fold.apply(out)
+    return out if scale is None else out * scale
+
+
 def execute(net: Network, use_simplify: bool = False) -> Tensor:
     """Contract ``net``, after the pattern rewrites when ``use_simplify`` is set."""
-    spec, sim, plan_ = _prepare(net, use_simplify)
-    if sim is None:
-        out = einsum.contract(spec, net.operands, plan_)
-    else:
-        out = einsum.contract(sim.spec, sim.apply(net.operands), plan_)
-        if sim.fold is not None:
-            out = sim.fold.apply(out)
-    if net.scale is not None:
-        out = out * net.scale
-    return out
+    shapes = tuple(a.shape for a in net.operands)
+    seeds, roles = (tuple(sorted(d.items())) for d in (net.seeds, net.roles))
+
+    def shape_only() -> Network:  # the cache keeps the operands' shapes, not their data
+        return replace(net, operands=[np.broadcast_to(0.0, shape) for shape in shapes])
+
+    prep = _prepare((net.equation, shapes, seeds, roles, use_simplify), shape_only, use_simplify)
+    return _contract(prep, net.operands, net.scale)
 
 
 def run_op(
@@ -437,28 +376,40 @@ def run_op(
     simplify: bool = False,
     output_padding=None,
 ) -> Tensor:
-    """Generic entry point: build the network for ``op`` and contract it."""
-    net = build_network(conv, op, arrays, output_padding=output_padding)
-    return execute(net, simplify)
+    """Contract ``op``'s network over ``arrays``; missing arrays are zeros."""
+    _check_output_padding(conv, output_padding)
+    columns = int(np.shape(arrays["s"])[0]) if "s" in arrays else 2
+    prep = _planned(conv, op, columns, simplify)
+    keep = prep.sim.kept if prep.sim is not None else range(len(prep.net.sources))
+    return _contract(prep, _operands(prep.net, arrays, keep), prep.net.scale)
 
 
 def op_cost(
     conv: ConvSpec, op: str, *, columns: int = 2, output_padding=None
 ) -> OpCosts:
     """Cost reports for ``op`` with and without pattern rewrites."""
-    net = build_network(conv, op, None, output_padding=output_padding, columns=columns)
-    _, _, base_plan = _prepare(net, False)
-    _, sim, sim_plan = _prepare(net, True)
+    _check_output_padding(conv, output_padding)
+    base, simplified = (_planned(conv, op, columns, s) for s in (False, True))
     return OpCosts(
-        net.equation,
-        einsum.cost_report(base_plan),
-        einsum.cost_report(sim_plan),
-        sim.steps if sim is not None else (),
+        base.net.equation,
+        einsum.cost_report(base.plan),
+        einsum.cost_report(simplified.plan),
+        simplified.sim.steps,
     )
 
 
-def _bias_reshape(conv: ConvSpec, b: Tensor) -> Tensor:
-    return b.reshape((1, conv.c_out) + (1,) * conv.nd)
+def _wrapper(op: str):
+    """The public function of ``op``: ``op(conv, *arrays, simplify=False)``."""
+    names = _EXPANDED[op, 1][2]
+
+    def call(conv: ConvSpec, *arrays: Tensor, simplify: bool = False) -> Tensor:
+        if len(arrays) != len(names):
+            raise TypeError(f"{op}() takes the arrays ({', '.join(names)})")
+        return run_op(conv, op, dict(zip(names, arrays)), simplify=simplify)
+
+    call.__name__ = call.__qualname__ = op
+    call.__doc__ = f"``{op}`` over ({', '.join(names)}), contracted as its table entry says."
+    return call
 
 
 def conv_forward(
@@ -471,26 +422,10 @@ def conv_forward(
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (conv.c_out,):
             raise ShapeMismatch(f"bias has shape {b.shape}, expected {(conv.c_out,)}")
-        y = y + _bias_reshape(conv, b)
+        y = y + b.reshape((1, conv.c_out) + (1,) * conv.nd)
     elif b is not None:
         raise Unsupported("spec declares no bias")
     return y
-
-
-def unfold_input(conv: ConvSpec, x: Tensor, *, simplify: bool = False) -> Tensor:
-    return run_op(conv, "unfold_input", {"x": x}, simplify=simplify)
-
-
-def unfold_kernel(conv: ConvSpec, w: Tensor, *, simplify: bool = False) -> Tensor:
-    return run_op(conv, "unfold_kernel", {"w": w}, simplify=simplify)
-
-
-def fold_output(conv: ConvSpec, y_like: Tensor, *, simplify: bool = False) -> Tensor:
-    return run_op(conv, "fold_output", {"y_like": y_like}, simplify=simplify)
-
-
-def transpose_unfold(conv: ConvSpec, y: Tensor, *, simplify: bool = False) -> Tensor:
-    return run_op(conv, "transpose_unfold", {"y": y}, simplify=simplify)
 
 
 def weight_vjp(
@@ -502,40 +437,6 @@ def weight_vjp(
         v_y = np.asarray(v_y, dtype=np.float64)
         vb = v_y.sum(axis=(0, *range(2, 2 + conv.nd)))
     return WeightVjp(vw, vb)
-
-
-def per_sample_weight_vjp(
-    conv: ConvSpec, x: Tensor, v_y: Tensor, *, simplify: bool = False
-) -> Tensor:
-    return run_op(conv, "per_sample_weight_vjp", {"x": x, "v_y": v_y}, simplify=simplify)
-
-
-def input_vjp(conv: ConvSpec, w: Tensor, v_y: Tensor, *, simplify: bool = False) -> Tensor:
-    return run_op(conv, "input_vjp", {"w": w, "v_y": v_y}, simplify=simplify)
-
-
-def weight_jvp(conv: ConvSpec, x: Tensor, v_w: Tensor, *, simplify: bool = False) -> Tensor:
-    return run_op(conv, "weight_jvp", {"x": x, "v_w": v_w}, simplify=simplify)
-
-
-def input_jvp(conv: ConvSpec, v_x: Tensor, w: Tensor, *, simplify: bool = False) -> Tensor:
-    return run_op(conv, "input_jvp", {"v_x": v_x, "w": w}, simplify=simplify)
-
-
-def im2col_jvp(conv: ConvSpec, v_x: Tensor, *, simplify: bool = False) -> Tensor:
-    return run_op(conv, "im2col_jvp", {"v_x": v_x}, simplify=simplify)
-
-
-def im2col_vjp(conv: ConvSpec, v_u: Tensor, *, simplify: bool = False) -> Tensor:
-    return run_op(conv, "im2col_vjp", {"v_u": v_u}, simplify=simplify)
-
-
-def kfac_expand_factor(conv: ConvSpec, x: Tensor, *, simplify: bool = False) -> Tensor:
-    return run_op(conv, "kfac_expand_factor", {"x": x}, simplify=simplify)
-
-
-def kfac_reduce_factor(conv: ConvSpec, x: Tensor, *, simplify: bool = False) -> Tensor:
-    return run_op(conv, "kfac_reduce_factor", {"x": x}, simplify=simplify)
 
 
 def kfac_expand_transpose(
@@ -554,10 +455,6 @@ def kfac_reduce_transpose(
     )
 
 
-def ggn_gram(conv: ConvSpec, x: Tensor, s: Tensor, *, simplify: bool = False) -> Tensor:
-    return run_op(conv, "ggn_gram", {"x": x, "s": s}, simplify=simplify)
-
-
 def ggn_diagonal(
     conv: ConvSpec, x: Tensor, s: Tensor, *, per_sample: bool = False, simplify: bool = False
 ) -> Tensor:
@@ -572,7 +469,17 @@ def hesscale_weight_diag(
     return run_op(conv, op, {"x": x, "d_y": d_y}, simplify=simplify)
 
 
-def hesscale_input_diag(
-    conv: ConvSpec, w: Tensor, d_y: Tensor, *, simplify: bool = False
-) -> Tensor:
-    return run_op(conv, "hesscale_input_diag", {"w": w, "d_y": d_y}, simplify=simplify)
+unfold_input = _wrapper("unfold_input")
+unfold_kernel = _wrapper("unfold_kernel")
+fold_output = _wrapper("fold_output")
+transpose_unfold = _wrapper("transpose_unfold")
+per_sample_weight_vjp = _wrapper("per_sample_weight_vjp")
+input_vjp = _wrapper("input_vjp")
+weight_jvp = _wrapper("weight_jvp")
+input_jvp = _wrapper("input_jvp")
+im2col_jvp = _wrapper("im2col_jvp")
+im2col_vjp = _wrapper("im2col_vjp")
+kfac_expand_factor = _wrapper("kfac_expand_factor")
+kfac_reduce_factor = _wrapper("kfac_reduce_factor")
+ggn_gram = _wrapper("ggn_gram")
+hesscale_input_diag = _wrapper("hesscale_input_diag")

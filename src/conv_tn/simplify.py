@@ -30,21 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import einsum
-from .pattern import (
-    BoundaryPixels,
-    DimSpec,
-    boundary_pixel_free,
-    kernel_output_swap,
-    output_size,
-    pattern,
-)
+from .pattern import DimSpec, output_size
 from .tensor import ShapeMismatch, Tensor
 
 
 class RewriteKind(enum.Enum):
     GATHER = "gather"
     FOLD = "fold"
-    KERNEL_OUTPUT_SWAP = "kernel_output_swap"
 
 
 @dataclass(frozen=True)
@@ -52,15 +44,6 @@ class RewriteStep:
     kind: RewriteKind
     operand: int
     detail: str
-
-
-def _c_strides(shape) -> tuple[int, ...]:
-    """Byte strides of a C-contiguous float64 array of ``shape``."""
-    strides, step = [], 8
-    for n in reversed(shape):
-        strides.append(step)
-        step *= n
-    return tuple(reversed(strides))
 
 
 @dataclass(frozen=True)
@@ -85,7 +68,8 @@ class Gather:
         base = tuple(n + 2 * pads.get(a, 0) for a, n in enumerate(in_shape))
         shape: list[int] = []
         strides: list[int] = []
-        for a, (n, st) in enumerate(zip(base, _c_strides(base))):
+        c_strides = [8 * math.prod(base[a + 1 :]) for a in range(len(base))]  # float64, C order
+        for a, (n, st) in enumerate(zip(base, c_strides)):
             d = axes.get(a)
             if d is None:
                 shape.append(n)
@@ -331,40 +315,3 @@ def simplify_structure(
         )
         gathers[target] = Gather.build(in_shape, axes)
     return SimplifyResult(new_spec, tuple(steps), tuple(alive), gathers, fold)
-
-
-def swap_weight_vjp_to_conv(
-    spec: einsum.EinsumSpec, operands, pattern_roles: dict[int, DimSpec]
-):
-    """Exchange kernel and output legs of every pattern operand.
-
-    This re-expresses a weight-gradient contraction in the shape of a
-    forward convolution (the incoming gradient takes the kernel slot).
-    Requires every pattern to be boundary-pixel free; value-preserving.
-    Returns ``(new_spec, new_operands, steps)``.
-    """
-    terms = [list(t) for t in spec.operand_terms]
-    new_operands = [np.asarray(a, dtype=np.float64) for a in operands]
-    steps: list[RewriteStep] = []
-    for pos, dim in sorted(pattern_roles.items()):
-        if not boundary_pixel_free(dim):
-            raise BoundaryPixels(f"pattern operand {pos}: {dim} has dangling pixels")
-        term = terms[pos]
-        if len(term) != 3 or not all(isinstance(a, str) for a in term):
-            raise einsum.ParseError(f"operand {pos} does not look like a pattern term")
-        i_name, o_name, k_name = term
-        swapped = kernel_output_swap(pattern(dim))
-        terms[pos] = [i_name, k_name, o_name]
-        new_operands[pos] = swapped.table
-        steps.append(
-            RewriteStep(
-                RewriteKind.KERNEL_OUTPUT_SWAP,
-                pos,
-                f"pattern {dim} swapped to {swapped.dim}; legs now"
-                f" ({i_name} {k_name} {o_name})",
-            )
-        )
-    new_spec = einsum.make_spec(
-        tuple(tuple(t) for t in terms), spec.output_term, spec.sizes
-    )
-    return new_spec, new_operands, tuple(steps)

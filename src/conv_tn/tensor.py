@@ -1,15 +1,9 @@
-"""Dense float64 tensors and the structural operations everything else builds on.
+"""The types every module shares, and the comparison the harnesses use.
 
-Every numeric value in this package lives in a C-contiguous ``numpy.float64``
-array; this module pins that convention.  The wrappers here add the strict
-contract checks the rest of the code relies on: exact shape matches (no
-broadcasting), explicit bounds checks, and copies instead of views.
+Every numeric value in this package lives in a ``numpy.float64`` array.
 """
 
 from __future__ import annotations
-
-import math
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -20,80 +14,8 @@ class ShapeMismatch(ValueError):
     """Raised when an operation receives tensors of incompatible shape."""
 
 
-class OutOfBounds(IndexError):
-    """Raised when an axis or slice argument leaves the valid range."""
-
-
 class Unsupported(ValueError):
     """Raised when an operation is asked for a case it deliberately excludes."""
-
-
-def tensor(values, shape: Sequence[int] | None = None) -> Tensor:
-    """Build a float64 tensor from nested sequences or an existing array.
-
-    The result is always a fresh C-order copy.  If ``shape`` is given the
-    flat element count must match exactly.
-    """
-    arr = np.array(values, dtype=np.float64, order="C")
-    if shape is not None:
-        return reshape(arr, shape)
-    return arr
-
-
-def zeros(shape: Sequence[int]) -> Tensor:
-    return np.zeros(tuple(shape), dtype=np.float64)
-
-
-def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
-    new_shape = tuple(int(s) for s in shape)
-    if any(s < 0 for s in new_shape):
-        raise OutOfBounds(f"negative axis length in {new_shape}")
-    if math.prod(new_shape) != t.size:
-        raise ShapeMismatch(
-            f"cannot reshape {t.size} elements into {new_shape}"
-        )
-    return np.ascontiguousarray(t).reshape(new_shape).copy()
-
-
-def permute(t: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(int(a) for a in axes)
-    if sorted(axes) != list(range(t.ndim)):
-        raise OutOfBounds(f"axes {axes} is not a permutation of 0..{t.ndim - 1}")
-    return np.ascontiguousarray(np.transpose(t, axes))
-
-
-def narrow(t: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Copy ``length`` consecutive entries of ``axis`` starting at ``start``."""
-    if not 0 <= axis < t.ndim:
-        raise OutOfBounds(f"axis {axis} out of range for ndim {t.ndim}")
-    if length < 0 or start < 0 or start + length > t.shape[axis]:
-        raise OutOfBounds(
-            f"narrow [{start}:{start + length}] outside axis of length {t.shape[axis]}"
-        )
-    index = [slice(None)] * t.ndim
-    index[axis] = slice(start, start + length)
-    return np.ascontiguousarray(t[tuple(index)])
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"add: {a.shape} vs {b.shape}")
-    return a + b
-
-
-def multiply(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"multiply: {a.shape} vs {b.shape}")
-    return a * b
-
-
-def allclose(a: Tensor, b: Tensor, rel_tol: float = 1e-12, abs_tol: float = 0.0) -> bool:
-    """Elementwise ``|a - b| <= abs_tol + rel_tol * |b|``, all entries."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"allclose: {a.shape} vs {b.shape}")
-    return bool(np.all(np.abs(a - b) <= abs_tol + rel_tol * np.abs(b)))
 
 
 def max_rel_err(result: Tensor, reference: Tensor) -> float:

@@ -1,6 +1,8 @@
 """Command line entry points."""
 
 import json
+import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -61,6 +63,24 @@ def test_verify_default_grid(capsys):
     assert "conv_forward" in out
     assert "weight_vjp" in out
     assert "total cases" in out
+
+
+def test_verify_bundled_fixtures_skips_refused_cases(capsys):
+    # the explicit-Jacobian oracle refuses the larger fixture layers
+    bundled = resources.files("conv_tn").joinpath("fixtures/layers.json")
+    code, out, _ = run(capsys, "verify", "--config", str(bundled), "--op", "ggn_gram")
+    assert code == 0
+    skipped = int(re.search(r"skipped=(\d+)", out.splitlines()[-1]).group(1))
+    assert skipped > 0
+    assert "cases=" in out and "FAIL" not in out
+
+
+def test_flops_counts_refused_cases(capsys):
+    code, out, err = run(capsys, "flops", "--op", "unfold_kernel")
+    assert code == 0
+    grouped = sum(conv.groups != 1 for _, conv in load_layers(None))
+    assert len(json.loads(out)) == len(load_layers(None)) - grouped
+    assert f"skipped={grouped}" in err
 
 
 def test_verify_reports_failures():

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conv_tn import ops
 from conv_tn.crs import (
     CRS_AXES,
     CrsConfig,
@@ -166,3 +167,19 @@ def test_depthwise_after_same_shape_dense_layer():
         exact = weight_vjp(conv, masked_x, v_y).weight / 0.5
         assert est.shape == exact.shape
         assert np.allclose(est, exact, rtol=1e-12, atol=1e-12)
+
+
+def test_plan_cache_keeps_no_operand_data():
+    # a cached plan holds zero placeholders of the operands' shapes, so it
+    # keeps no caller's array (nor a masked copy of one) alive
+    conv = ConvSpec(2, 1, 2, 3, (DimSpec(6, 3, 1, 1), DimSpec(5, 2)))
+    rng = np.random.default_rng(0)
+    shapes = input_shapes(conv, "weight_vjp")
+    x, v_y = (rng.standard_normal(shapes[k]) for k in ("x", "v_y"))
+    ops._PREP_CACHE.clear()
+    masks = {"c_in": np.array([True, False]), "i1": np.array([1, 0, 1, 1, 0, 1], dtype=bool)}
+    masked_weight_vjp(conv, x, v_y, masks, {"c_in": 0.5, "i1": 0.5})
+    weight_vjp(conv, x, v_y, simplify=True)
+    assert len(ops._PREP_CACHE) == 2
+    for prep in ops._PREP_CACHE.values():
+        assert all(not any(a.strides) for a in prep.net.operands)

@@ -1,6 +1,9 @@
 """Convolution operations built on einsum networks."""
 
+import dataclasses
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from conv_tn.ops import (
     weight_jvp,
     weight_vjp,
 )
-from conv_tn.pattern import DimSpec, InvalidHyperParams, output_size
+from conv_tn.pattern import DimSpec, InvalidHyperParams, output_size, pattern
 from conv_tn.tensor import ShapeMismatch, Unsupported
 from conv_tn.verify import compare, make_inputs, oracle_run
 
@@ -283,3 +286,159 @@ def test_shape_colliding_layers_match_oracle_in_both_orders(case):
         ops._PREP_CACHE.clear()
         _check_against_oracle(first, op, seed=0)
         _check_against_oracle(second, op, seed=1)
+
+
+# Equations at one grouped layer, 2 groups of 2 -> 3 channels, in 1d and 2d
+# (unfold_kernel, defined for one group only, at the same layer ungrouped).
+# They pin the table's expansion to the networks the ops have always built.
+EQUATIONS = {
+    1: {
+        "conv_forward": "n (g c_in) i1, i1 o1 k1, (g c_out) c_in k1 -> n (g c_out) o1",
+        "unfold_input": "n c_in i1, i1 o1 k1 -> n (c_in k1) o1",
+        "unfold_kernel": "i1 o1 k1, c_out c_in k1 -> (c_out o1) (c_in i1)",
+        "fold_output": "n c o1, i1 o1 k1 -> n c i1",
+        "transpose_unfold": "n (g c_out) o1, i1 o1 k1 -> n (g c_out k1) i1",
+        "weight_vjp": "n (g c_in) i1, i1 o1 k1, n (g c_out) o1 -> (g c_out) c_in k1",
+        "per_sample_weight_vjp":
+            "n (g c_in) i1, i1 o1 k1, n (g c_out) o1 -> n (g c_out) c_in k1",
+        "input_vjp": "(g c_out) c_in k1, i1 o1 k1, n (g c_out) o1 -> n (g c_in) i1",
+        "weight_jvp": "n (g c_in) i1, i1 o1 k1, (g c_out) c_in k1 -> n (g c_out) o1",
+        "input_jvp": "n (g c_in) i1, i1 o1 k1, (g c_out) c_in k1 -> n (g c_out) o1",
+        "im2col_jvp": "n c_in i1, i1 o1 k1 -> n (c_in k1) o1",
+        "im2col_vjp": "i1 o1 k1, n (c_in k1) o1 -> n c_in i1",
+        "kfac_expand_factor":
+            "n (g c_in) i1, i1 o1 k1, n (g c_in_) i1_, i1_ o1 k1_ -> g (c_in k1) (c_in_ k1_)",
+        "kfac_reduce_factor":
+            "n (g c_in) i1, i1 k1, n (g c_in_) i1_, i1_ k1_ -> g (c_in k1) (c_in_ k1_)",
+        "kfac_expand_transpose": "n (g c_out) o1, i1 o1 k1, n (g c_out_) o1_, i1 o1_ k1_"
+            " -> g (c_out k1) (c_out_ k1_)",
+        "kfac_reduce_transpose":
+            "n (g c_out) o1, o1 k1, n (g c_out_) o1_, o1_ k1_ -> g (c_out k1) (c_out_ k1_)",
+        "ggn_gram": "n (g c_in) i1, i1 o1 k1, c n (g c_out) o1, n_ (g c_in) i1_, i1_ o1_ k1,"
+            " c_ n_ (g c_out) o1_ -> (c n) (c_ n_)",
+        "ggn_diagonal": "n (g c_in) i1, i1 o1 k1, c n (g c_out) o1, n (g c_in) i1_, i1_ o1_ k1,"
+            " c n (g c_out) o1_ -> (g c_out) c_in k1",
+        "per_sample_ggn_diagonal": "n (g c_in) i1, i1 o1 k1, c n (g c_out) o1, n (g c_in) i1_,"
+            " i1_ o1_ k1, c n (g c_out) o1_ -> n (g c_out) c_in k1",
+        "hesscale_weight_diag": "n (g c_in) i1, i1 o1 k1, n (g c_out) o1, n (g c_in) i1_,"
+            " i1_ o1 k1 -> (g c_out) c_in k1",
+        "per_sample_hesscale_weight_diag": "n (g c_in) i1, i1 o1 k1, n (g c_out) o1,"
+            " n (g c_in) i1_, i1_ o1 k1 -> n (g c_out) c_in k1",
+        "hesscale_input_diag": "(g c_out) c_in k1, i1 o1 k1, n (g c_out) o1, (g c_out) c_in k1_,"
+            " i1 o1 k1_ -> n (g c_in) i1",
+    },
+    2: {
+        "conv_forward": "n (g c_in) i1 i2, i1 o1 k1, i2 o2 k2, (g c_out) c_in k1 k2"
+            " -> n (g c_out) o1 o2",
+        "unfold_input": "n c_in i1 i2, i1 o1 k1, i2 o2 k2 -> n (c_in k1 k2) (o1 o2)",
+        "unfold_kernel": "i1 o1 k1, i2 o2 k2, c_out c_in k1 k2 -> (c_out o1 o2) (c_in i1 i2)",
+        "fold_output": "n c o1 o2, i1 o1 k1, i2 o2 k2 -> n c i1 i2",
+        "transpose_unfold": "n (g c_out) o1 o2, i1 o1 k1, i2 o2 k2 -> n (g c_out k1 k2) (i1 i2)",
+        "weight_vjp": "n (g c_in) i1 i2, i1 o1 k1, i2 o2 k2, n (g c_out) o1 o2"
+            " -> (g c_out) c_in k1 k2",
+        "per_sample_weight_vjp": "n (g c_in) i1 i2, i1 o1 k1, i2 o2 k2, n (g c_out) o1 o2"
+            " -> n (g c_out) c_in k1 k2",
+        "input_vjp": "(g c_out) c_in k1 k2, i1 o1 k1, i2 o2 k2, n (g c_out) o1 o2"
+            " -> n (g c_in) i1 i2",
+        "weight_jvp": "n (g c_in) i1 i2, i1 o1 k1, i2 o2 k2, (g c_out) c_in k1 k2"
+            " -> n (g c_out) o1 o2",
+        "input_jvp": "n (g c_in) i1 i2, i1 o1 k1, i2 o2 k2, (g c_out) c_in k1 k2"
+            " -> n (g c_out) o1 o2",
+        "im2col_jvp": "n c_in i1 i2, i1 o1 k1, i2 o2 k2 -> n (c_in k1 k2) (o1 o2)",
+        "im2col_vjp": "i1 o1 k1, i2 o2 k2, n (c_in k1 k2) (o1 o2) -> n c_in i1 i2",
+        "kfac_expand_factor": "n (g c_in) i1 i2, i1 o1 k1, i2 o2 k2, n (g c_in_) i1_ i2_,"
+            " i1_ o1 k1_, i2_ o2 k2_ -> g (c_in k1 k2) (c_in_ k1_ k2_)",
+        "kfac_reduce_factor": "n (g c_in) i1 i2, i1 k1, i2 k2, n (g c_in_) i1_ i2_, i1_ k1_,"
+            " i2_ k2_ -> g (c_in k1 k2) (c_in_ k1_ k2_)",
+        "kfac_expand_transpose": "n (g c_out) o1 o2, i1 o1 k1, i2 o2 k2, n (g c_out_) o1_ o2_,"
+            " i1 o1_ k1_, i2 o2_ k2_ -> g (c_out k1 k2) (c_out_ k1_ k2_)",
+        "kfac_reduce_transpose": "n (g c_out) o1 o2, o1 k1, o2 k2, n (g c_out_) o1_ o2_,"
+            " o1_ k1_, o2_ k2_ -> g (c_out k1 k2) (c_out_ k1_ k2_)",
+        "ggn_gram": "n (g c_in) i1 i2, i1 o1 k1, i2 o2 k2, c n (g c_out) o1 o2,"
+            " n_ (g c_in) i1_ i2_, i1_ o1_ k1, i2_ o2_ k2, c_ n_ (g c_out) o1_ o2_"
+            " -> (c n) (c_ n_)",
+        "ggn_diagonal": "n (g c_in) i1 i2, i1 o1 k1, i2 o2 k2, c n (g c_out) o1 o2,"
+            " n (g c_in) i1_ i2_, i1_ o1_ k1, i2_ o2_ k2, c n (g c_out) o1_ o2_"
+            " -> (g c_out) c_in k1 k2",
+        "per_sample_ggn_diagonal": "n (g c_in) i1 i2, i1 o1 k1, i2 o2 k2, c n (g c_out) o1 o2,"
+            " n (g c_in) i1_ i2_, i1_ o1_ k1, i2_ o2_ k2, c n (g c_out) o1_ o2_"
+            " -> n (g c_out) c_in k1 k2",
+        "hesscale_weight_diag": "n (g c_in) i1 i2, i1 o1 k1, i2 o2 k2, n (g c_out) o1 o2,"
+            " n (g c_in) i1_ i2_, i1_ o1 k1, i2_ o2 k2 -> (g c_out) c_in k1 k2",
+        "per_sample_hesscale_weight_diag": "n (g c_in) i1 i2, i1 o1 k1, i2 o2 k2,"
+            " n (g c_out) o1 o2, n (g c_in) i1_ i2_, i1_ o1 k1, i2_ o2 k2"
+            " -> n (g c_out) c_in k1 k2",
+        "hesscale_input_diag": "(g c_out) c_in k1 k2, i1 o1 k1, i2 o2 k2, n (g c_out) o1 o2,"
+            " (g c_out) c_in k1_ k2_, i1 o1 k1_, i2 o2 k2_ -> n (g c_in) i1 i2",
+    },
+}
+
+
+@pytest.mark.parametrize("nd", [1, 2])
+def test_table_expands_to_the_pinned_equations(nd):
+    conv = ConvSpec(2, 2, 4, 6, (DimSpec(6, 3, 1, 1), DimSpec(5, 2, 2))[:nd])
+    assert tuple(EQUATIONS[nd]) == OP_NAMES
+    for op, equation in EQUATIONS[nd].items():
+        if op == "unfold_kernel":
+            with pytest.raises(Unsupported):
+                ops.build_network(conv, op)
+            layer = dataclasses.replace(conv, groups=1)
+        else:
+            layer = conv
+        net = ops.build_network(layer, op)
+        assert net.equation == equation, op
+        assert net.seeds == ({"g": layer.groups} if "(g " in equation else {}), op
+        assert net.scale == (1.0 / conv.batch if op.startswith("kfac") else None), op
+
+
+def test_built_network_contracts_to_run_op(small):
+    rng = np.random.default_rng(3)
+    for op in OP_NAMES:
+        arrays = make_inputs(small, op, rng)
+        net = ops.build_network(small, op, arrays)
+        assert set(net.roles.values()) <= set(small.dims), op
+        for pos, dim in net.roles.items():
+            assert net.operands[pos] is pattern(dim).table, op
+        assert compare(ops.execute(net), run_op(small, op, arrays)) <= 1e-12, op
+
+
+def test_planning_allocates_no_operand_data():
+    # x alone is 64 x 64 x 112 x 112 doubles (411 MB); the GGN stack is 8 times that
+    conv = ConvSpec(64, 1, 64, 64, (DimSpec(112, 3, 1, 1), DimSpec(112, 3, 1, 1)))
+    assert math.prod(input_shapes(conv, "conv_forward")["x"]) * 8 >= 256 << 20
+    ops._PREP_CACHE.clear()
+    tracemalloc.start()
+    try:
+        for op in OP_NAMES:
+            ops.build_network(conv, op, None, columns=8)
+            ops.op_cost(conv, op, columns=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak
+
+
+def test_simplified_first_order_ops_build_no_pattern_table():
+    conv = ConvSpec(2, 1, 2, 3, (DimSpec(9, 3, 2, 1), DimSpec(7, 2, 3, 2)))
+    first_order = (
+        "unfold_input", "im2col_jvp", "fold_output", "im2col_vjp", "transpose_unfold",
+        "conv_forward", "weight_jvp", "input_jvp", "weight_vjp", "per_sample_weight_vjp",
+        "input_vjp",
+    )
+    rng = np.random.default_rng(4)
+    inputs = {op: make_inputs(conv, op, rng) for op in first_order}
+    ops._PREP_CACHE.clear()
+    pattern.cache_clear()
+    results = {op: run_op(conv, op, inputs[op], simplify=True) for op in first_order}
+    assert pattern.cache_info().misses == 0
+    for op in first_order:
+        want = oracle_run(conv, op, inputs[op])
+        assert compare(results[op], want.weight if isinstance(want, WeightVjp) else want) <= 1e-12
+
+
+def test_plain_wrappers_take_the_arrays_in_table_order(small):
+    x, w = make(small)
+    with pytest.raises(TypeError):
+        input_jvp(small, x)
+    assert input_jvp.__name__ == "input_jvp"
+    assert np.allclose(input_jvp(small, x, w), direct_conv(small, x, w), atol=1e-12)

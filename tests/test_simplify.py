@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from conv_tn import einsum
-from conv_tn.ops import OP_NAMES, ConvSpec, build_network, input_shapes, op_cost, run_op
-from conv_tn.pattern import BoundaryPixels, DimSpec, output_size, pattern
-from conv_tn.simplify import RewriteKind, simplify_structure, swap_weight_vjp_to_conv
+from conv_tn.ops import OP_NAMES, ConvSpec, input_shapes, op_cost, run_op
+from conv_tn.pattern import DimSpec, output_size, pattern
+from conv_tn.simplify import RewriteKind, simplify_structure
 from conv_tn.tensor import Unsupported, max_rel_err
 
 DENSE = ConvSpec(2, 1, 2, 3, (DimSpec(8, 2, 2),))
@@ -122,33 +122,6 @@ def test_general_strictly_cheaper():
     costs = op_cost(GENERAL, "conv_forward")
     assert [s.kind for s in costs.rewrites] == [RewriteKind.GATHER]
     assert costs.simplified.flops < costs.base.flops
-
-
-def test_swap_weight_vjp_matches():
-    conv = ConvSpec(2, 1, 2, 3, (DimSpec(4, 2, 1, 1), DimSpec(3, 2)))
-    rng = np.random.default_rng(7)
-    arrays = {
-        k: rng.standard_normal(v) for k, v in input_shapes(conv, "weight_vjp").items()
-    }
-    net = build_network(conv, "weight_vjp", arrays)
-    spec = einsum.parse(net.equation, [a.shape for a in net.operands], net.seeds)
-    before = einsum.contract(spec, net.operands)
-    new_spec, new_operands, steps = swap_weight_vjp_to_conv(spec, net.operands, net.roles)
-    assert len(steps) == len(net.roles)
-    after = einsum.contract(new_spec, new_operands)
-    assert np.allclose(before, after, atol=1e-12)
-
-
-def test_swap_requires_boundary_free():
-    conv = ConvSpec(1, 1, 1, 1, (DimSpec(5, 2, 2),))
-    rng = np.random.default_rng(8)
-    arrays = {
-        k: rng.standard_normal(v) for k, v in input_shapes(conv, "weight_vjp").items()
-    }
-    net = build_network(conv, "weight_vjp", arrays)
-    spec = einsum.parse(net.equation, [a.shape for a in net.operands], net.seeds)
-    with pytest.raises(BoundaryPixels):
-        swap_weight_vjp_to_conv(spec, net.operands, net.roles)
 
 
 # The realistic first-order layer set: ResNet 3x3, ResNet 7x7/s2 stem,

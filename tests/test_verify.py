@@ -2,9 +2,17 @@
 
 import numpy as np
 
+from conv_tn import verify
 from conv_tn.ops import OP_NAMES, ConvSpec, input_shapes
 from conv_tn.pattern import DimSpec
-from conv_tn.verify import compare, default_grid, make_inputs, oracle_run, tn_run
+from conv_tn.verify import (
+    compare,
+    default_grid,
+    make_inputs,
+    oracle_run,
+    run_verification,
+    tn_run,
+)
 
 
 def test_default_grid_produces_valid_specs():
@@ -42,3 +50,19 @@ def test_engine_matches_oracle_everywhere():
         want = oracle_run(conv, op, arrays)
         err = compare(want, got)
         assert err <= 1e-12, (op, err)
+
+
+def test_every_op_has_one_oracle():
+    # an op added to the table without a reference fails here
+    assert set(verify.ORACLES) == set(OP_NAMES)
+
+
+def test_refused_cases_are_counted_as_skipped():
+    grouped = ConvSpec(1, 2, 2, 2, (DimSpec(3, 2),))
+    report = run_verification([grouped], ("unfold_kernel", "conv_forward"))
+    assert report.passed
+    assert [(r.op, r.cases, r.skipped) for r in report.reports] == [
+        ("unfold_kernel", 0, 1), ("conv_forward", 1, 0)
+    ]
+    assert report.skipped == 1
+    assert "skipped=1" in report.lines()[0]
