@@ -19,14 +19,12 @@ from .crs import (
 )
 from .einsum import (
     ContractionPlan,
-    CostReport,
     EinsumSpec,
     ParseError,
     PlanStep,
     SizeConflict,
     UnderdeterminedGroup,
     contract,
-    cost_report,
     make_spec,
     parse,
     plan,
@@ -82,12 +80,10 @@ from .pattern import (
     averaged_pattern,
     boundary_pixel_free,
     classify,
-    dilation_subsample_check,
     input_size_from_output,
     kernel_output_swap,
     output_size,
     pattern,
-    stride_subsample_check,
 )
 from .simplify import (
     RewriteKind,

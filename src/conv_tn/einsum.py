@@ -13,6 +13,8 @@ operands.  The cost model is definitional: a step costs the product of the
 sizes of the union of its two operands' indices, counted in multiply-adds,
 and ``max_intermediate`` is the largest element count among step results
 that feed a later step (the output element count when there are none).
+There is one planner: an exact search over every binary contraction tree,
+by dynamic programming over operand subsets, for up to ten operands.
 """
 
 from __future__ import annotations
@@ -23,9 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeMismatch, Tensor
+from .tensor import ShapeMismatch, Tensor, Unsupported
 
 Atom = str | tuple[str, ...]
+
+# the exact planner's search grows as 3^n; the largest convolution network has 8
+MAX_OPERANDS = 10
 
 
 class ParseError(ValueError):
@@ -242,17 +247,6 @@ class ContractionPlan:
     max_intermediate: int
 
 
-@dataclass(frozen=True)
-class CostReport:
-    flops: int
-    max_intermediate: int
-    per_step: tuple[PlanStep, ...]
-
-
-def cost_report(plan: ContractionPlan) -> CostReport:
-    return CostReport(plan.flops, plan.max_intermediate, plan.steps)
-
-
 def _prod_sizes(sizes: dict[str, int], indices) -> int:
     return math.prod(sizes[i] for i in indices)
 
@@ -265,150 +259,93 @@ def _result_order(left_idx, right_idx, surviving) -> tuple[str, ...]:
     return tuple(batch + left_keep + right_keep)
 
 
-def _assemble(spec: EinsumSpec, steps: list[PlanStep]) -> ContractionPlan:
-    flops = sum(s.flops for s in steps)
-    feeding = [s.size for s in steps[:-1]]
-    max_inter = max(feeding) if feeding else math.prod(spec.output_shape())
-    return ContractionPlan(tuple(steps), flops, max_inter)
-
-
 def _plan_optimal(spec: EinsumSpec) -> ContractionPlan:
     """Exact minimum-flop plan via dynamic programming over operand subsets.
 
-    Ties fall to the plan with the smaller fed intermediate, then to a fixed
-    canonical split order, so the result is deterministic.
+    Index sets are integer bitsets, one bit per index.  A split whose two
+    halves already cost as much as the best plan found is skipped.  Ties
+    fall to the plan with the smaller fed intermediate, then to the smaller
+    first subset, so the result is deterministic.
     """
-    ops_idx = spec.operand_indices
-    n = len(ops_idx)
-    sizes = spec.sizes
-    out_set = frozenset(spec.output_indices)
-    full = (1 << n) - 1
-
-    union_in: list[frozenset[str]] = [frozenset()] * (full + 1)
+    ops_idx, sizes = spec.operand_indices, spec.sizes
+    n, full = len(ops_idx), (1 << len(ops_idx)) - 1
+    bit = {name: 1 << b for b, name in enumerate(sizes)}
+    leaf = [sum(bit[i] for i in idx) for idx in ops_idx]
+    out_bits = sum(bit[i] for i in spec.output_indices)
+    union = [0] * (full + 1)
     for mask in range(1, full + 1):
         low = mask & -mask
-        union_in[mask] = union_in[mask ^ low] | frozenset(ops_idx[low.bit_length() - 1])
-
-    surv: list[frozenset[str]] = [frozenset()] * (full + 1)
-    for mask in range(1, full + 1):
-        outside = union_in[full ^ mask]
-        surv[mask] = union_in[mask] & (out_set | outside)
-
-    def entering(mask: int) -> frozenset[str]:
-        # a leaf enters a step with its full index set, a composite with
-        # only its surviving indices (that is the tensor that exists)
-        if mask & (mask - 1) == 0:
-            return frozenset(ops_idx[mask.bit_length() - 1])
-        return surv[mask]
-
-    # dp[mask] = (flops, max fed intermediate, chosen sub-split)
-    dp: dict[int, tuple[int, int, int]] = {}
+        union[mask] = union[mask ^ low] | leaf[low.bit_length() - 1]
+    surv = [union[m] & (out_bits | union[full ^ m]) for m in range(full + 1)]
+    # a leaf enters a step with its full index set, a composite with only
+    # its surviving indices (that is the tensor that exists)
+    enter = surv[:]
     for i in range(n):
-        dp[1 << i] = (0, 0, 0)
-    for mask in range(1, full + 1):
+        enter[1 << i] = leaf[i]
+    size_of = {0: 1} | {bit[i]: sizes[i] for i in bit}
+
+    def size(bits: int) -> int:
+        product, rest = 1, bits
+        while rest:
+            low = rest & -rest
+            product, rest = product * size_of[low], rest ^ low
+        size_of[bits] = product
+        return product
+
+    # per subset: flops, max fed intermediate, chosen first half
+    flops, fed, split = [0] * (full + 1), [0] * (full + 1), [0] * (full + 1)
+    for mask in range(3, full + 1):
         if mask & (mask - 1) == 0:
             continue
-        best: tuple[int, int, int] | None = None
-        sub = (mask - 1) & mask
+        # the first half never holds the top operand, so each split is seen once
+        others = mask ^ (1 << (mask.bit_length() - 1))
+        res = 0 if mask == full else size(surv[mask])
+        best = (math.inf, 0, 0)
+        sub = others
         while sub:
             rest = mask ^ sub
-            if sub < rest:
-                fa, ma, _ = dp[sub]
-                fb, mb, _ = dp[rest]
-                step_flops = _prod_sizes(sizes, entering(sub) | entering(rest))
-                res_size = _prod_sizes(sizes, surv[mask])
-                flops = fa + fb + step_flops
-                fed = max(ma, mb) if mask == full else max(ma, mb, res_size)
-                cand = (flops, fed, sub)
-                if best is None or cand < best:
+            base = flops[sub] + flops[rest]
+            if base < best[0]:
+                both = enter[sub] | enter[rest]
+                step = size_of.get(both) or size(both)
+                cand = (base + step, max(fed[sub], fed[rest], res), sub)
+                if cand < best:
                     best = cand
-            sub = (sub - 1) & mask
-        assert best is not None
-        dp[mask] = best
+            sub = (sub - 1) & others
+        flops[mask], fed[mask], split[mask] = best
 
     steps: list[PlanStep] = []
-    counter = [n]
 
     def emit(mask: int) -> tuple[int, tuple[str, ...]]:
         if mask & (mask - 1) == 0:
             i = mask.bit_length() - 1
             return i, ops_idx[i]
-        sub = dp[mask][2]
-        rest = mask ^ sub
-        id_a, idx_a = emit(sub)
-        id_b, idx_b = emit(rest)
-        result = _result_order(idx_a, idx_b, surv[mask])
+        id_a, idx_a = emit(split[mask])
+        id_b, idx_b = emit(mask ^ split[mask])
+        result = _result_order(idx_a, idx_b, {i for i in sizes if surv[mask] & bit[i]})
         step_flops = _prod_sizes(sizes, set(idx_a) | set(idx_b))
-        steps.append(
-            PlanStep(id_a, id_b, result, step_flops, _prod_sizes(sizes, result))
-        )
-        new_id = counter[0]
-        counter[0] += 1
-        return new_id, result
+        steps.append(PlanStep(id_a, id_b, result, step_flops, _prod_sizes(sizes, result)))
+        return n + len(steps) - 1, result
 
     emit(full)
-    return _assemble(spec, steps)
-
-
-def _plan_greedy(spec: EinsumSpec) -> ContractionPlan:
-    """Repeatedly contract the pair with the cheapest step.
-
-    Ties prefer the smaller step result, then the lexicographically
-    smallest id pair.
-    """
-    sizes = spec.sizes
-    out_set = set(spec.output_indices)
-    active: dict[int, tuple[str, ...]] = dict(enumerate(spec.operand_indices))
-    next_id = len(active)
-    steps: list[PlanStep] = []
-    while len(active) > 1:
-        best = None
-        ids = sorted(active)
-        for ai in range(len(ids)):
-            for bi in range(ai + 1, len(ids)):
-                a, b = ids[ai], ids[bi]
-                idx_a, idx_b = active[a], active[b]
-                union = set(idx_a) | set(idx_b)
-                others = set()
-                for o, idx_o in active.items():
-                    if o not in (a, b):
-                        others.update(idx_o)
-                surviving = union & (out_set | others)
-                step_flops = _prod_sizes(sizes, union)
-                res_size = _prod_sizes(sizes, surviving)
-                cand = (step_flops, res_size, (a, b))
-                if best is None or cand < best[0]:
-                    best = (cand, a, b, surviving)
-        assert best is not None
-        _, a, b, surviving = best
-        idx_a, idx_b = active.pop(a), active.pop(b)
-        result = _result_order(idx_a, idx_b, surviving)
-        steps.append(
-            PlanStep(
-                a,
-                b,
-                result,
-                _prod_sizes(sizes, set(idx_a) | set(idx_b)),
-                _prod_sizes(sizes, result),
-            )
-        )
-        active[next_id] = result
-        next_id += 1
-    return _assemble(spec, steps)
+    feeding = [s.size for s in steps[:-1]]
+    max_inter = max(feeding, default=math.prod(spec.output_shape()))
+    return ContractionPlan(tuple(steps), flops[full], max_inter)
 
 
 def plan(spec: EinsumSpec) -> ContractionPlan:
-    """Choose a pairwise contraction order for ``spec``.
+    """The flop-optimal pairwise contraction order for ``spec``.
 
-    Up to six operands the plan is flop-optimal over all binary trees;
-    above that a greedy minimum-step-cost heuristic takes over.
+    Every network of 2 to ``MAX_OPERANDS`` operands gets the exact plan over
+    all binary trees.  The search grows as 3^n, so a larger network raises
+    :class:`Unsupported` before any work.
     """
     n = len(spec.operand_terms)
+    if n > MAX_OPERANDS:
+        raise Unsupported(f"{n} operands: exact planning stops at {MAX_OPERANDS}")
     if n == 1:
         return ContractionPlan((), 0, math.prod(spec.output_shape()))
-    if n <= 6:
-        return _plan_optimal(spec)
-    return _plan_greedy(spec)
+    return _plan_optimal(spec)
 
 
 def _ungroup_operand(spec: EinsumSpec, pos: int, arr: Tensor) -> tuple[tuple[str, ...], Tensor]:
@@ -438,7 +375,8 @@ def _ungroup_operand(spec: EinsumSpec, pos: int, arr: Tensor) -> tuple[tuple[str
     return _flatten(term), arr.reshape(flat_shape)
 
 
-def _pairwise(sizes, left_idx, left, right_idx, right, surviving):
+def _pairwise(sizes, left_idx, left, right_idx, right, surviving, order=None):
+    """Contract two operands; ``order``, if given, sorts each group of kept indices."""
     lset, rset = set(left_idx), set(right_idx)
 
     def presum(idx, arr, other, keep):
@@ -455,6 +393,10 @@ def _pairwise(sizes, left_idx, left, right_idx, right, surviving):
     contracted = [i for i in left_idx if i in rset and i not in surviving]
     left_keep = [i for i in left_idx if i not in rset]
     right_keep = [i for i in right_idx if i not in lset]
+    if order is not None:
+        batch, left_keep, right_keep = (
+            sorted(g, key=order.index) for g in (batch, left_keep, right_keep)
+        )
 
     left = np.transpose(left, [left_idx.index(i) for i in batch + left_keep + contracted])
     right = np.transpose(right, [right_idx.index(i) for i in batch + contracted + right_keep])
@@ -485,19 +427,28 @@ def contract(spec: EinsumSpec, operands, plan_: ContractionPlan | None = None) -
     for pos, arr in enumerate(operands):
         env[pos] = _ungroup_operand(spec, pos, arr)
 
+    out_flat = spec.output_indices
     next_id = len(operands)
-    for step in plan_.steps:
+    for n, step in enumerate(plan_.steps, 1):
         left_idx, left = env.pop(step.left)
         right_idx, right = env.pop(step.right)
-        res_idx, res = _pairwise(
-            spec.sizes, left_idx, left, right_idx, right, set(step.result)
+        # when both operands are smaller than the result, the last step
+        # permutes them so its kept indices follow the output's order: the
+        # closing permutation then copies longer contiguous runs, or nothing
+        final = (
+            n == len(plan_.steps)
+            and set(step.result) == set(out_flat)
+            and max(left.size, right.size) < step.size
         )
-        assert res_idx == step.result, "plan and executor disagree on step layout"
+        res_idx, res = _pairwise(
+            spec.sizes, left_idx, left, right_idx, right, set(step.result),
+            out_flat if final else None,
+        )
+        assert final or res_idx == step.result, "plan and executor disagree on step layout"
         env[next_id] = (res_idx, res)
         next_id += 1
 
     ((last_idx, last),) = env.values()
-    out_flat = spec.output_indices
     extra = [i for i in last_idx if i not in out_flat]
     if extra:
         last = last.sum(axis=tuple(last_idx.index(i) for i in extra))

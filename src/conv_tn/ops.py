@@ -103,8 +103,8 @@ class Network:
 @dataclass
 class OpCosts:
     equation: str
-    base: einsum.CostReport
-    simplified: einsum.CostReport
+    base: einsum.ContractionPlan
+    simplified: einsum.ContractionPlan
     rewrites: tuple[RewriteStep, ...]
 
 
@@ -248,6 +248,12 @@ def _table(legs: str, dim: DimSpec) -> Tensor:
     return table if legs == "iok" else table.mean(axis=1 if legs == "ik" else 0)
 
 
+def _columns(arrays: dict | None, default: int = 2) -> int:
+    """The column count of the curvature stack ``s``; ``default`` when it is missing or None."""
+    s = (arrays or {}).get("s")
+    return default if s is None else int(np.shape(s)[0])
+
+
 def _operands(net: Network, arrays: dict, keep) -> list:
     """``net``'s operands at the positions in ``keep``, None elsewhere.
 
@@ -287,9 +293,7 @@ def build_network(
     if entry.ungrouped and conv.groups != 1:
         raise Unsupported(f"{op} is only defined for groups == 1")
     _check_output_padding(conv, output_padding)
-    if arrays and "s" in arrays:
-        columns = int(np.shape(arrays["s"])[0])
-    shapes = input_shapes(conv, op, columns=columns)
+    shapes = input_shapes(conv, op, columns=_columns(arrays, columns))
     sources = tuple(s if isinstance(s, str) else (s[0], conv.dims[s[1]]) for s in sources)
     placeholders, roles = [], {}
     for pos, src in enumerate(sources):
@@ -378,8 +382,7 @@ def run_op(
 ) -> Tensor:
     """Contract ``op``'s network over ``arrays``; missing arrays are zeros."""
     _check_output_padding(conv, output_padding)
-    columns = int(np.shape(arrays["s"])[0]) if "s" in arrays else 2
-    prep = _planned(conv, op, columns, simplify)
+    prep = _planned(conv, op, _columns(arrays), simplify)
     keep = prep.sim.kept if prep.sim is not None else range(len(prep.net.sources))
     return _contract(prep, _operands(prep.net, arrays, keep), prep.net.scale)
 
@@ -387,15 +390,10 @@ def run_op(
 def op_cost(
     conv: ConvSpec, op: str, *, columns: int = 2, output_padding=None
 ) -> OpCosts:
-    """Cost reports for ``op`` with and without pattern rewrites."""
+    """The plans of ``op`` with and without pattern rewrites."""
     _check_output_padding(conv, output_padding)
     base, simplified = (_planned(conv, op, columns, s) for s in (False, True))
-    return OpCosts(
-        base.net.equation,
-        einsum.cost_report(base.plan),
-        einsum.cost_report(simplified.plan),
-        simplified.sim.steps,
-    )
+    return OpCosts(base.net.equation, base.plan, simplified.plan, simplified.sim.steps)
 
 
 def _wrapper(op: str):

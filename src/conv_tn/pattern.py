@@ -181,18 +181,3 @@ def kernel_output_swap(p: IndexPattern) -> IndexPattern:
     )
     return pattern(swapped)
 
-
-def stride_subsample_check(dim: DimSpec) -> bool:
-    """Strided pattern == unit-stride pattern sub-sampled along the output leg."""
-    base = pattern(DimSpec(dim.input_size, dim.kernel_size, 1, dim.padding, dim.dilation))
-    sub = base.table[:, :: dim.stride, :]
-    mine = pattern(dim).table
-    return sub.shape == mine.shape and bool(np.array_equal(sub, mine))
-
-
-def dilation_subsample_check(dim: DimSpec) -> bool:
-    """Dilated pattern == undilated span-kernel pattern sub-sampled along the kernel leg."""
-    base = pattern(DimSpec(dim.input_size, dim.span, dim.stride, dim.padding, 1))
-    sub = base.table[:, :, :: dim.dilation]
-    mine = pattern(dim).table
-    return sub.shape == mine.shape and bool(np.array_equal(sub, mine))

@@ -3,24 +3,29 @@
 import itertools
 import math
 from functools import lru_cache
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conv_tn import ops
+from conv_tn.cli import load_layers
 from conv_tn.einsum import (
+    MAX_OPERANDS,
+    ContractionPlan,
     ParseError,
+    PlanStep,
     SizeConflict,
     UnderdeterminedGroup,
-    _plan_greedy,
+    _result_order,
     contract,
-    cost_report,
     make_spec,
     parse,
     plan,
 )
-from conv_tn.tensor import ShapeMismatch, max_rel_err
+from conv_tn.tensor import ShapeMismatch, Unsupported, max_rel_err
 
 
 def naive_contract(spec, operands):
@@ -82,6 +87,28 @@ def brute_force_min_flops(spec):
         return best
 
     return solve(tuple(range(n)))
+
+
+def left_deep_plan(spec):
+    """Contract the operands in order, each into the running result."""
+    out = set(spec.output_indices)
+    ops_idx = spec.operand_indices
+    steps, left, acc = [], 0, ops_idx[0]
+    for pos in range(1, len(ops_idx)):
+        later = {i for t in ops_idx[pos + 1 :] for i in t}
+        result = _result_order(acc, ops_idx[pos], out | later)
+        flops = math.prod(spec.sizes[i] for i in set(acc) | set(ops_idx[pos]))
+        steps.append(PlanStep(left, pos, result, flops, math.prod(spec.sizes[i] for i in result)))
+        left, acc = len(ops_idx) + len(steps) - 1, result
+    fed = max((s.size for s in steps[:-1]), default=math.prod(spec.output_shape()))
+    return ContractionPlan(tuple(steps), sum(s.flops for s in steps), fed)
+
+
+def chain_spec(n_ops):
+    """A chain of ``n_ops`` 2x2 matrices, ``a b, b c, ... -> (first) (last)``."""
+    names = [f"a{i}" for i in range(n_ops + 1)]
+    terms = [f"{names[i]} {names[i + 1]}" for i in range(n_ops)]
+    return parse(", ".join(terms) + f" -> {names[0]} {names[-1]}", [(2, 2)] * n_ops)
 
 
 # ---------------------------------------------------------------- parsing
@@ -184,10 +211,10 @@ def test_dot_product_plan_and_value():
 
 def test_cost_report_reads_plan():
     spec = parse("ij,jk,kl->il", [(2, 100), (100, 100), (100, 2)])
-    rep = cost_report(plan(spec))
-    assert rep.flops == 20400
-    assert rep.max_intermediate == 200
-    assert len(rep.per_step) == 2
+    p = plan(spec)
+    assert p.flops == 20400
+    assert p.max_intermediate == 200
+    assert len(p.steps) == 2
 
 
 def test_plan_optimal_matches_brute_force_fixed_cases():
@@ -200,6 +227,27 @@ def test_plan_optimal_matches_brute_force_fixed_cases():
     for equation, shapes in cases:
         spec = parse(equation, shapes)
         assert plan(spec).flops == brute_force_min_flops(spec), equation
+
+
+@pytest.mark.parametrize("layer", ["lenet_c2", "resnext_group"])
+@pytest.mark.parametrize(
+    "op", ["ggn_gram", "ggn_diagonal", "hesscale_weight_diag", "hesscale_input_diag"]
+)
+def test_plan_optimal_on_curvature_networks(layer, op):
+    # the unsimplified 2d curvature networks have 7-8 operands
+    conv = dict(load_layers(str(resources.files("conv_tn") / "fixtures/layers.json")))[layer]
+    net = ops.build_network(conv, op)
+    spec = parse(net.equation, [a.shape for a in net.operands], sizes=net.seeds)
+    assert len(spec.operand_terms) in (7, 8)
+    assert plan(spec).flops == brute_force_min_flops(spec)
+
+
+def test_more_operands_than_the_planner_takes_raise():
+    spec = chain_spec(MAX_OPERANDS + 1)
+    with pytest.raises(Unsupported):
+        plan(spec)
+    with pytest.raises(Unsupported):
+        contract(spec, [np.eye(2)] * (MAX_OPERANDS + 1))
 
 
 # ---------------------------------------------------------------- execution
@@ -234,6 +282,15 @@ def test_input_group_ungroups():
     spec = parse("(a b) -> b a", [(6,)], sizes={"a": 2})
     arr = np.arange(6.0)
     assert np.array_equal(contract(spec, [arr]), arr.reshape(2, 3).T)
+
+
+def test_expanding_last_step_matches_nested_loops():
+    # the result outgrows both operands, so the last step follows the output's
+    # order, which interleaves the two operands' indices
+    spec = parse("i o k, c d k -> c o d i", [(5, 4, 2), (3, 6, 2)])
+    rng = np.random.default_rng(7)
+    operands = [rng.standard_normal((5, 4, 2)), rng.standard_normal((3, 6, 2))]
+    assert max_rel_err(contract(spec, operands), naive_contract(spec, operands)) <= 1e-12
 
 
 def test_contract_shape_validation():
@@ -310,17 +367,22 @@ def test_plan_independence(case):
     if len(operands) < 2:
         return
     optimal = contract(spec, operands, plan(spec))
-    greedy = contract(spec, operands, _plan_greedy(spec))
-    assert max_rel_err(greedy, optimal) <= 1e-12
+    chain = contract(spec, operands, left_deep_plan(spec))
+    assert max_rel_err(chain, optimal) <= 1e-12
 
 
-def test_greedy_path_used_beyond_six_operands():
-    # seven-operand chain goes through the heuristic planner
-    names = "abcdefgh"
-    terms = [f"{names[i]} {names[i+1]}" for i in range(7)]
-    equation = ", ".join(terms) + " -> a h"
-    shapes = [(2, 2)] * 7
-    spec = parse(equation, shapes)
+def test_left_deep_plan_differs_from_the_optimal_one():
+    spec = parse("ij,jk,kl->il", [(100, 2), (2, 100), (100, 2)])
+    chain = left_deep_plan(spec)
+    assert (chain.flops, plan(spec).flops) == (40000, 800)
+    rng = np.random.default_rng(5)
+    operands = [rng.standard_normal(shape) for shape in [(100, 2), (2, 100), (100, 2)]]
+    assert max_rel_err(contract(spec, operands, chain), contract(spec, operands)) <= 1e-12
+
+
+def test_seven_operand_chain_gets_the_exact_plan():
+    spec = chain_spec(7)
+    assert plan(spec).flops == brute_force_min_flops(spec)
     rng = np.random.default_rng(3)
     operands = [rng.standard_normal((2, 2)) for _ in range(7)]
     assert max_rel_err(contract(spec, operands), naive_contract(spec, operands)) <= 1e-12

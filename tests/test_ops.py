@@ -402,6 +402,17 @@ def test_built_network_contracts_to_run_op(small):
         assert compare(ops.execute(net), run_op(small, op, arrays)) <= 1e-12, op
 
 
+@pytest.mark.parametrize("op", ["ggn_gram", "ggn_diagonal", "per_sample_ggn_diagonal"])
+def test_missing_curvature_stack_is_zeros(small, op):
+    x = np.random.default_rng(4).standard_normal(input_shapes(small, op)["x"])
+    for simplify in (False, True):
+        got = run_op(small, op, {"x": x, "s": None}, simplify=simplify)
+        assert np.array_equal(got, run_op(small, op, {"x": x}, simplify=simplify)), op
+        assert not got.any(), op
+    net = ops.build_network(small, op, {"x": x, "s": None}, columns=3)
+    assert net.operands[net.sources.index("s")].shape == input_shapes(small, op, 3)["s"]
+
+
 def test_planning_allocates_no_operand_data():
     # x alone is 64 x 64 x 112 x 112 doubles (411 MB); the GGN stack is 8 times that
     conv = ConvSpec(64, 1, 64, 64, (DimSpec(112, 3, 1, 1), DimSpec(112, 3, 1, 1)))

@@ -15,12 +15,10 @@ from conv_tn.pattern import (
     averaged_pattern,
     boundary_pixel_free,
     classify,
-    dilation_subsample_check,
     input_size_from_output,
     kernel_output_swap,
     output_size,
     pattern,
-    stride_subsample_check,
 )
 
 
@@ -184,8 +182,12 @@ def test_swap_boundary_pixels_raises():
 
 def test_subsample_checks_exhaustive():
     for dim in valid_dims():
-        assert stride_subsample_check(dim), dim
-        assert dilation_subsample_check(dim), dim
+        # strided pattern == unit-stride pattern sub-sampled along the output leg
+        unit = pattern(DimSpec(dim.input_size, dim.kernel_size, 1, dim.padding, dim.dilation))
+        assert np.array_equal(unit.table[:, :: dim.stride, :], pattern(dim).table), dim
+        # dilated pattern == undilated span-kernel pattern sub-sampled along the kernel leg
+        span = pattern(DimSpec(dim.input_size, dim.span, dim.stride, dim.padding, 1))
+        assert np.array_equal(span.table[:, :, :: dim.dilation], pattern(dim).table), dim
 
 
 def test_transpose_as_conv_identity():
