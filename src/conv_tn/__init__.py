@@ -28,7 +28,6 @@ from .einsum import (
     make_spec,
     parse,
     plan,
-    render_equation,
 )
 from .oracle import (
     GgnOracle,
@@ -80,7 +79,6 @@ from .pattern import (
     averaged_pattern,
     boundary_pixel_free,
     classify,
-    input_size_from_output,
     kernel_output_swap,
     output_size,
     pattern,

@@ -105,7 +105,10 @@ def _selected_ops(args) -> tuple[str, ...]:
 
 def _out_stream(args):
     if args.output:
-        return open(args.output, "w", newline="")
+        try:
+            return open(args.output, "w", newline="")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.output}: {exc}") from exc
     return sys.stdout
 
 
@@ -261,6 +264,14 @@ def cmd_crs(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(sub, *, config=True, op=False, output=False):
     if config:
         sub.add_argument("--config", help="JSON layer file (defaults to bundled fixtures)")
@@ -279,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="compare engine against references")
     _add_common(p, op=True)
-    p.add_argument("--count", type=int, default=25, help="layers in the default grid")
+    p.add_argument("--count", type=positive_int, default=25, help="layers in the default grid")
     p.add_argument(
         "--simplify",
         choices=("on", "off"),
@@ -303,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time engine vs reference")
     _add_common(p, op=True, output=True)
-    p.add_argument("--repeats", type=int, default=3, help="timing repetitions, min is kept")
+    p.add_argument(
+        "--repeats", type=positive_int, default=3, help="timing repetitions, min is kept"
+    )
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("crs", help="sampled weight-gradient error sweep")
@@ -311,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keep-c-in", type=float, help="channel keep probability")
     p.add_argument("--keep-i1", type=float, help="first spatial axis keep probability")
     p.add_argument("--keep-i2", type=float, help="second spatial axis keep probability")
-    p.add_argument("--seeds", type=int, default=10, help="number of mask seeds")
+    p.add_argument("--seeds", type=positive_int, default=10, help="number of mask seeds")
     p.set_defaults(fn=cmd_crs)
 
     return parser

@@ -64,18 +64,6 @@ def _flatten(term: tuple[Atom, ...]) -> tuple[str, ...]:
     return tuple(flat)
 
 
-def _atom_text(atom: Atom) -> str:
-    if isinstance(atom, str):
-        return atom
-    return "(" + " ".join(atom) + ")"
-
-
-def render_equation(operand_terms, output_term) -> str:
-    lhs = ", ".join(" ".join(_atom_text(a) for a in term) for term in operand_terms)
-    rhs = " ".join(_atom_text(a) for a in output_term)
-    return f"{lhs} -> {rhs}"
-
-
 @dataclass(frozen=True, eq=True)
 class EinsumSpec:
     """A fully size-resolved contraction: terms, output, and index sizes."""
@@ -83,10 +71,6 @@ class EinsumSpec:
     operand_terms: tuple[tuple[Atom, ...], ...]
     output_term: tuple[Atom, ...]
     sizes: dict[str, int]
-
-    @property
-    def equation(self) -> str:
-        return render_equation(self.operand_terms, self.output_term)
 
     @property
     def operand_indices(self) -> tuple[tuple[str, ...], ...]:
@@ -251,12 +235,17 @@ def _prod_sizes(sizes: dict[str, int], indices) -> int:
     return math.prod(sizes[i] for i in indices)
 
 
-def _result_order(left_idx, right_idx, surviving) -> tuple[str, ...]:
+def _result_order(left_idx, right_idx, surviving, order=None) -> tuple[str, ...]:
+    """Shared, then left-only, then right-only kept indices; ``order`` sorts each group."""
     lset, rset = set(left_idx), set(right_idx)
-    batch = [i for i in left_idx if i in rset and i in surviving]
-    left_keep = [i for i in left_idx if i not in rset and i in surviving]
-    right_keep = [i for i in right_idx if i not in lset and i in surviving]
-    return tuple(batch + left_keep + right_keep)
+    groups = (
+        [i for i in left_idx if i in rset and i in surviving],
+        [i for i in left_idx if i not in rset and i in surviving],
+        [i for i in right_idx if i not in lset and i in surviving],
+    )
+    if order is not None:
+        groups = (sorted(g, key=order.index) for g in groups)
+    return tuple(i for g in groups for i in g)
 
 
 def _plan_optimal(spec: EinsumSpec) -> ContractionPlan:
@@ -322,7 +311,12 @@ def _plan_optimal(spec: EinsumSpec) -> ContractionPlan:
             return i, ops_idx[i]
         id_a, idx_a = emit(split[mask])
         id_b, idx_b = emit(mask ^ split[mask])
-        result = _result_order(idx_a, idx_b, {i for i in sizes if surv[mask] & bit[i]})
+        kept = {i for i in sizes if surv[mask] & bit[i]}
+        # a last step whose result outgrows both operands follows the output's
+        # order: the closing permutation then copies longer contiguous runs, or nothing
+        grows = _prod_sizes(sizes, kept) > max(_prod_sizes(sizes, idx) for idx in (idx_a, idx_b))
+        order = spec.output_indices if mask == full and grows else None
+        result = _result_order(idx_a, idx_b, kept, order)
         step_flops = _prod_sizes(sizes, set(idx_a) | set(idx_b))
         steps.append(PlanStep(id_a, id_b, result, step_flops, _prod_sizes(sizes, result)))
         return n + len(steps) - 1, result
@@ -375,9 +369,9 @@ def _ungroup_operand(spec: EinsumSpec, pos: int, arr: Tensor) -> tuple[tuple[str
     return _flatten(term), arr.reshape(flat_shape)
 
 
-def _pairwise(sizes, left_idx, left, right_idx, right, surviving, order=None):
-    """Contract two operands; ``order``, if given, sorts each group of kept indices."""
-    lset, rset = set(left_idx), set(right_idx)
+def _pairwise(sizes, left_idx, left, right_idx, right, result):
+    """Contract two operands into the plan's layout ``result`` (see ``_result_order``)."""
+    lset, rset, surviving = set(left_idx), set(right_idx), set(result)
 
     def presum(idx, arr, other, keep):
         dead = [i for i in idx if i not in other and i not in keep]
@@ -389,15 +383,10 @@ def _pairwise(sizes, left_idx, left, right_idx, right, surviving, order=None):
     left_idx, left = presum(left_idx, left, rset, surviving)
     right_idx, right = presum(right_idx, right, lset, surviving)
 
-    batch = [i for i in left_idx if i in rset and i in surviving]
+    batch = [i for i in result if i in lset and i in rset]
     contracted = [i for i in left_idx if i in rset and i not in surviving]
-    left_keep = [i for i in left_idx if i not in rset]
-    right_keep = [i for i in right_idx if i not in lset]
-    if order is not None:
-        batch, left_keep, right_keep = (
-            sorted(g, key=order.index) for g in (batch, left_keep, right_keep)
-        )
-
+    left_keep = [i for i in result if i not in rset]
+    right_keep = [i for i in result if i not in lset]
     left = np.transpose(left, [left_idx.index(i) for i in batch + left_keep + contracted])
     right = np.transpose(right, [right_idx.index(i) for i in batch + contracted + right_keep])
     b = _prod_sizes(sizes, batch)
@@ -407,15 +396,15 @@ def _pairwise(sizes, left_idx, left, right_idx, right, surviving, order=None):
     lhs, rhs = left.reshape(b, m, k), right.reshape(b, k, n)
     # an outer product: numpy's matmul is several times slower here than broadcasting
     out = lhs * rhs if k == 1 else np.matmul(lhs, rhs)
-    res_idx = tuple(batch + left_keep + right_keep)
-    return res_idx, out.reshape(tuple(sizes[i] for i in res_idx))
+    return out.reshape(tuple(sizes[i] for i in result))
 
 
 def contract(spec: EinsumSpec, operands, plan_: ContractionPlan | None = None) -> Tensor:
     """Execute the contraction and return the grouped output tensor.
 
-    Operands are validated against the resolved index sizes.  Any valid
-    plan over the same spec yields the same values.
+    Operands are validated against the resolved index sizes.  Each step's
+    result takes the layout its ``PlanStep.result`` lists.  Any valid plan
+    over the same spec yields the same values.
     """
     if len(operands) != len(spec.operand_terms):
         raise ShapeMismatch(
@@ -427,27 +416,13 @@ def contract(spec: EinsumSpec, operands, plan_: ContractionPlan | None = None) -
     for pos, arr in enumerate(operands):
         env[pos] = _ungroup_operand(spec, pos, arr)
 
-    out_flat = spec.output_indices
-    next_id = len(operands)
-    for n, step in enumerate(plan_.steps, 1):
+    for next_id, step in enumerate(plan_.steps, len(operands)):
         left_idx, left = env.pop(step.left)
         right_idx, right = env.pop(step.right)
-        # when both operands are smaller than the result, the last step
-        # permutes them so its kept indices follow the output's order: the
-        # closing permutation then copies longer contiguous runs, or nothing
-        final = (
-            n == len(plan_.steps)
-            and set(step.result) == set(out_flat)
-            and max(left.size, right.size) < step.size
-        )
-        res_idx, res = _pairwise(
-            spec.sizes, left_idx, left, right_idx, right, set(step.result),
-            out_flat if final else None,
-        )
-        assert final or res_idx == step.result, "plan and executor disagree on step layout"
-        env[next_id] = (res_idx, res)
-        next_id += 1
+        res = _pairwise(spec.sizes, left_idx, left, right_idx, right, step.result)
+        env[next_id] = (step.result, res)
 
+    out_flat = spec.output_indices
     ((last_idx, last),) = env.values()
     extra = [i for i in last_idx if i not in out_flat]
     if extra:

@@ -5,7 +5,8 @@ named data tensors and one binary index pattern per spatial dimension.  In
 an entry's template:
 
 * ``x: n (g c_in) i#`` is a term over the input array ``x``.  An op
-  consumes the arrays its terms name, in order of first appearance.
+  takes exactly the arrays its terms name, in order of first appearance;
+  a missing, None, extra or misspelled array is a ``TypeError``.
 * ``i#`` expands to ``i1 i2`` and ``i#_`` to ``i1_ i2_``.  A group left
   with one index is that index.
 * A pattern slot ``[i o k]`` or ``[i_ o k_]`` expands to one ``I x O x K``
@@ -27,12 +28,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
 
 from . import einsum
-from .pattern import DimSpec, InvalidHyperParams, input_size_from_output, output_size, pattern
+from .pattern import DimSpec, InvalidHyperParams, output_size, pattern
 from .simplify import RewriteStep, SimplifyResult, simplify_structure
 from .tensor import ShapeMismatch, Tensor, Unsupported
 
@@ -224,49 +226,34 @@ def input_shapes(conv: ConvSpec, op: str, columns: int = 2) -> dict[str, tuple[i
     return {name: all_shapes[name] for name in _expanded(op, conv.nd)[2]}
 
 
-def _check_output_padding(conv: ConvSpec, output_padding) -> None:
-    """Raise unless ``output_padding`` (one int, or one per dimension) rebuilds every input size."""
-    if output_padding is None:
-        return
-    if isinstance(output_padding, int):
-        output_padding = (output_padding,) * conv.nd
-    given = tuple(int(a) for a in output_padding)
-    if len(given) != conv.nd:
-        raise InvalidHyperParams(f"output_padding needs {conv.nd} entries, got {len(given)}")
-    for d, a in zip(conv.dims, given):
-        rebuilt = input_size_from_output(
-            output_size(d), d.kernel_size, d.stride, d.padding, d.dilation, a
-        )
-        if rebuilt != d.input_size:
-            raise InvalidHyperParams(
-                f"output_padding {a} reconstructs input {rebuilt}, spec says {d.input_size}"
-            )
-
-
 def _table(legs: str, dim: DimSpec) -> Tensor:
     table = pattern(dim).table
     return table if legs == "iok" else table.mean(axis=1 if legs == "ik" else 0)
 
 
-def _columns(arrays: dict | None, default: int = 2) -> int:
-    """The column count of the curvature stack ``s``; ``default`` when it is missing or None."""
-    s = (arrays or {}).get("s")
-    return default if s is None else int(np.shape(s)[0])
+def _columns(op: str, arrays: dict) -> int:
+    """The column count of ``s`` in ``arrays``, which must be exactly ``op``'s arrays.
+
+    A missing, None, extra or misspelled array raises ``TypeError``; without
+    ``s``, or with a 0-d one that the shape check then refuses, it is 2.
+    """
+    names = _expanded(op, 1)[2]
+    if arrays.keys() != set(names) or any(arrays[name] is None for name in names):
+        raise TypeError(f"{op}() takes the arrays ({', '.join(names)})")
+    shape = np.shape(arrays["s"]) if "s" in arrays else ()
+    return int(shape[0]) if shape else 2
 
 
 def _operands(net: Network, arrays: dict, keep) -> list:
     """``net``'s operands at the positions in ``keep``, None elsewhere.
 
-    Given arrays are checked against the placeholders' shapes, missing ones
-    stay zero placeholders, and pattern tables are fetched.
+    The arrays' shapes are checked and the pattern tables fetched.
     """
     out: list = [None] * len(net.sources)
     for pos in keep:
         src, shape = net.sources[pos], net.operands[pos].shape
         if not isinstance(src, str):
             out[pos] = _table(*src)
-        elif arrays.get(src) is None:
-            out[pos] = net.operands[pos]
         else:
             a = out[pos] = np.asarray(arrays[src], dtype=np.float64)
             if a.shape != shape:
@@ -279,21 +266,23 @@ def build_network(
     op: str,
     arrays: dict[str, Tensor] | None = None,
     *,
-    output_padding=None,
     columns: int = 2,
 ) -> Network:
     """Assemble the tensor network for ``op`` over ``conv``.
 
     Without ``arrays`` every operand is a zero placeholder of its shape that
-    holds no data, which is enough for planning and cost queries.  With
-    them, missing arrays stay zero and the pattern tables are filled in.
+    holds no data, which is enough for planning and cost queries; the
+    curvature stack has ``columns`` columns.  With them, which must be
+    exactly the arrays ``op`` names, the operands are those arrays and the
+    pattern tables.
     """
     eq, sources, _ = _expanded(op, conv.nd)
     entry = _OPS[op]
     if entry.ungrouped and conv.groups != 1:
         raise Unsupported(f"{op} is only defined for groups == 1")
-    _check_output_padding(conv, output_padding)
-    shapes = input_shapes(conv, op, columns=_columns(arrays, columns))
+    if arrays is not None:
+        columns = _columns(op, arrays)
+    shapes = input_shapes(conv, op, columns=columns)
     sources = tuple(s if isinstance(s, str) else (s[0], conv.dims[s[1]]) for s in sources)
     placeholders, roles = [], {}
     for pos, src in enumerate(sources):
@@ -378,20 +367,15 @@ def run_op(
     arrays: dict[str, Tensor],
     *,
     simplify: bool = False,
-    output_padding=None,
 ) -> Tensor:
-    """Contract ``op``'s network over ``arrays``; missing arrays are zeros."""
-    _check_output_padding(conv, output_padding)
-    prep = _planned(conv, op, _columns(arrays), simplify)
+    """Contract ``op``'s network over ``arrays``, exactly the arrays ``op`` names."""
+    prep = _planned(conv, op, _columns(op, arrays), simplify)
     keep = prep.sim.kept if prep.sim is not None else range(len(prep.net.sources))
     return _contract(prep, _operands(prep.net, arrays, keep), prep.net.scale)
 
 
-def op_cost(
-    conv: ConvSpec, op: str, *, columns: int = 2, output_padding=None
-) -> OpCosts:
+def op_cost(conv: ConvSpec, op: str, *, columns: int = 2) -> OpCosts:
     """The plans of ``op`` with and without pattern rewrites."""
-    _check_output_padding(conv, output_padding)
     base, simplified = (_planned(conv, op, columns, s) for s in (False, True))
     return OpCosts(base.net.equation, base.plan, simplified.plan, simplified.sim.steps)
 
@@ -401,9 +385,8 @@ def _wrapper(op: str):
     names = _EXPANDED[op, 1][2]
 
     def call(conv: ConvSpec, *arrays: Tensor, simplify: bool = False) -> Tensor:
-        if len(arrays) != len(names):
-            raise TypeError(f"{op}() takes the arrays ({', '.join(names)})")
-        return run_op(conv, op, dict(zip(names, arrays)), simplify=simplify)
+        # a missing or extra array pairs with None, which run_op refuses
+        return run_op(conv, op, dict(zip_longest(names, arrays)), simplify=simplify)
 
     call.__name__ = call.__qualname__ = op
     call.__doc__ = f"``{op}`` over ({', '.join(names)}), contracted as its table entry says."
@@ -437,22 +420,6 @@ def weight_vjp(
     return WeightVjp(vw, vb)
 
 
-def kfac_expand_transpose(
-    conv: ConvSpec, y: Tensor, output_padding=None, *, simplify: bool = False
-) -> Tensor:
-    return run_op(
-        conv, "kfac_expand_transpose", {"y": y}, simplify=simplify, output_padding=output_padding
-    )
-
-
-def kfac_reduce_transpose(
-    conv: ConvSpec, y: Tensor, output_padding=None, *, simplify: bool = False
-) -> Tensor:
-    return run_op(
-        conv, "kfac_reduce_transpose", {"y": y}, simplify=simplify, output_padding=output_padding
-    )
-
-
 def ggn_diagonal(
     conv: ConvSpec, x: Tensor, s: Tensor, *, per_sample: bool = False, simplify: bool = False
 ) -> Tensor:
@@ -479,5 +446,7 @@ im2col_jvp = _wrapper("im2col_jvp")
 im2col_vjp = _wrapper("im2col_vjp")
 kfac_expand_factor = _wrapper("kfac_expand_factor")
 kfac_reduce_factor = _wrapper("kfac_reduce_factor")
+kfac_expand_transpose = _wrapper("kfac_expand_transpose")
+kfac_reduce_transpose = _wrapper("kfac_reduce_transpose")
 ggn_gram = _wrapper("ggn_gram")
 hesscale_input_diag = _wrapper("hesscale_input_diag")

@@ -133,34 +133,6 @@ def averaged_pattern(dim: DimSpec) -> Tensor:
     return pattern(dim).table.mean(axis=1)
 
 
-def input_size_from_output(
-    out_size: int,
-    kernel_size: int,
-    stride: int = 1,
-    padding: int = 0,
-    dilation: int = 1,
-    output_padding: int = 0,
-) -> int:
-    """Invert the output-size formula, disambiguated by ``output_padding``.
-
-    ``output_padding`` counts the dangling input pixels and must stay below
-    the stride, mirroring how transpose-convolution APIs pin the input size.
-    """
-    if out_size < 1:
-        raise InvalidHyperParams(f"output size must be >= 1, got {out_size}")
-    if not 0 <= output_padding < stride:
-        raise InvalidHyperParams(
-            f"output_padding must lie in [0, stride), got {output_padding} with stride {stride}"
-        )
-    span = kernel_size + (kernel_size - 1) * (dilation - 1)
-    in_size = (out_size - 1) * stride - 2 * padding + span + output_padding
-    if in_size < 1:
-        raise InvalidHyperParams(
-            f"reconstructed input size {in_size} is not a valid convolution input"
-        )
-    return in_size
-
-
 def kernel_output_swap(p: IndexPattern) -> IndexPattern:
     """Exchange the kernel and output legs of a boundary-pixel-free pattern.
 

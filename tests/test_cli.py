@@ -128,6 +128,38 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert err.strip()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("flops", "--op", "conv_forward"),
+        ("pattern", "--input-size", "3", "--kernel-size", "2"),
+        ("bench", "--op", "conv_forward", "--repeats", "1"),
+        ("crs", "--keep-i1", "0.5", "--seeds", "1"),
+    ],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    target = tmp_path / "no_such_dir" / "out.json"
+    code, _, err = run(capsys, *argv, "--output", str(target))
+    assert code == 2
+    assert "cannot write" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--count"),
+        ("bench", "--op", "conv_forward", "--repeats"),
+        ("crs", "--keep-i1", "0.5", "--seeds"),
+    ],
+)
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_counts_below_one_exit_2(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, value])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
 def test_flops_json(capsys):
     code, out, _ = run(capsys, "flops", "--op", "conv_forward")
     assert code == 0

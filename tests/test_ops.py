@@ -21,7 +21,6 @@ from conv_tn.ops import (
     input_jvp,
     input_shapes,
     input_vjp,
-    kfac_expand_transpose,
     op_cost,
     per_sample_weight_vjp,
     run_op,
@@ -189,20 +188,6 @@ def test_transpose_unfold_shape():
     base = transpose_unfold(conv, y)
     assert base.shape == (1, 1, 4)
     assert np.array_equal(base[0, 0], [0.0, 0.0, 1.0, 0.0])
-
-
-def test_output_padding_validation():
-    conv = ConvSpec(1, 1, 1, 1, (DimSpec(4, 1, 2),))
-    y = np.arange(2.0).reshape(1, 1, 2)
-    ok = kfac_expand_transpose(conv, y, output_padding=1)
-    assert ok.shape == (1, 1, 1)
-    with pytest.raises(InvalidHyperParams):
-        kfac_expand_transpose(conv, y, output_padding=5)
-    with pytest.raises(InvalidHyperParams):
-        kfac_expand_transpose(conv, y, output_padding=(1, 1))
-    with pytest.raises(InvalidHyperParams):
-        # padding 0 reconstructs input 3, spec says 4
-        kfac_expand_transpose(conv, y, output_padding=0)
 
 
 def test_run_op_rejects_unknown(small):
@@ -403,13 +388,20 @@ def test_built_network_contracts_to_run_op(small):
 
 
 @pytest.mark.parametrize("op", ["ggn_gram", "ggn_diagonal", "per_sample_ggn_diagonal"])
-def test_missing_curvature_stack_is_zeros(small, op):
-    x = np.random.default_rng(4).standard_normal(input_shapes(small, op)["x"])
-    for simplify in (False, True):
-        got = run_op(small, op, {"x": x, "s": None}, simplify=simplify)
-        assert np.array_equal(got, run_op(small, op, {"x": x}, simplify=simplify)), op
-        assert not got.any(), op
-    net = ops.build_network(small, op, {"x": x, "s": None}, columns=3)
+def test_ops_take_exactly_their_arrays(small, op):
+    arrays = make_inputs(small, op, np.random.default_rng(4))
+    x, s = arrays["x"], arrays["s"]
+    wrong = ({"x": x}, {"x": x, "s": None}, {"x": x, "s": s, "w": x}, {"x": x, "S": s})
+    for given_arrays in wrong:
+        for simplify in (False, True):
+            with pytest.raises(TypeError, match=r"takes the arrays \(x, s\)"):
+                run_op(small, op, given_arrays, simplify=simplify)
+        with pytest.raises(TypeError, match=r"takes the arrays \(x, s\)"):
+            ops.build_network(small, op, given_arrays)
+    with pytest.raises(ShapeMismatch):
+        run_op(small, op, {"x": x, "s": 3.0})
+    assert run_op(small, op, arrays).any()
+    net = ops.build_network(small, op, None, columns=3)
     assert net.operands[net.sources.index("s")].shape == input_shapes(small, op, 3)["s"]
 
 

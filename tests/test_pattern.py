@@ -4,8 +4,6 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conv_tn.pattern import (
     BoundaryPixels,
@@ -15,7 +13,6 @@ from conv_tn.pattern import (
     averaged_pattern,
     boundary_pixel_free,
     classify,
-    input_size_from_output,
     kernel_output_swap,
     output_size,
     pattern,
@@ -126,35 +123,6 @@ def test_averaged_pattern_mass():
         o_size = output_size(dim)
         assert np.allclose(avg.sum(), pat.nnz / o_size)
         assert (avg.sum(axis=1) <= dim.kernel_size / o_size + 1e-12).all()
-
-
-def test_input_size_from_output():
-    assert input_size_from_output(2, 2, 2, 0, 1, 0) == 4
-    assert input_size_from_output(1, 1, 1, 0, 1, 0) == 1
-    assert input_size_from_output(2, 1, 2, 0, 1, 1) == 4
-    with pytest.raises(InvalidHyperParams):
-        input_size_from_output(2, 2, 2, 0, 1, 2)  # output_padding >= stride
-    with pytest.raises(InvalidHyperParams):
-        input_size_from_output(1, 1, 1, 2, 1, 0)  # reconstructed size < 1
-
-
-@given(
-    st.integers(1, 6),
-    st.integers(1, 4),
-    st.integers(1, 3),
-    st.integers(0, 2),
-    st.integers(1, 2),
-    st.integers(0, 2),
-)
-@settings(max_examples=200, deadline=None)
-def test_input_size_round_trip(o, k, s, p, d, a):
-    if a >= s:
-        return
-    try:
-        i = input_size_from_output(o, k, s, p, d, a)
-    except InvalidHyperParams:
-        return
-    assert output_size(DimSpec(i, k, s, p, d)) == o
 
 
 def test_swap_self_dual_example():
