@@ -62,6 +62,8 @@ from .ops import (
     kfac_reduce_factor,
     kfac_reduce_transpose,
     op_cost,
+    per_sample_ggn_diagonal,
+    per_sample_hesscale_weight_diag,
     per_sample_weight_vjp,
     run_op,
     transpose_unfold,

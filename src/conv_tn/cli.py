@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 import time
@@ -200,12 +201,13 @@ def _time_call(fn, repeats: int) -> float:
 
 def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
+    layers, selected = load_layers(args.config), _selected_ops(args)
     stream = _out_stream(args)
     writer = csv.writer(stream)
     writer.writerow(["layer", "op", "variant", "min_seconds", "flops", "max_intermediate"])
     skipped = 0
-    for name, conv in load_layers(args.config):
-        for op in _selected_ops(args):
+    try:
+        for (name, conv), op in itertools.product(layers, selected):
             arrays = make_inputs(conv, op, rng)
             try:
                 costs = op_cost(conv, op)
@@ -219,8 +221,9 @@ def cmd_bench(args) -> int:
                 cost = costs.simplified if simplify else costs.base
                 writer.writerow([name, op, variant, f"{secs:.6e}", cost.flops, cost.max_intermediate])
             writer.writerow([name, op, "oracle", f"{oracle_secs:.6e}", "", ""])
-    if stream is not sys.stdout:
-        stream.close()
+    finally:
+        if stream is not sys.stdout:
+            stream.close()
     print(f"skipped={skipped}", file=sys.stderr)
     return 0
 

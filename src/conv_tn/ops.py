@@ -12,6 +12,8 @@ an entry's template:
 * A pattern slot ``[i o k]`` or ``[i_ o k_]`` expands to one ``I x O x K``
   pattern term per dimension; ``[i k]`` and ``[o k]`` are the pattern
   averaged over its missing leg.
+* ``x^2: ...`` is a term over the elementwise square of ``x``; the op
+  still takes ``x``.
 
 ``OP_NAMES``, ``input_shapes``, the CLI's op list and the plain wrappers
 come from the table.  Channel names inside a term count channels per
@@ -89,8 +91,8 @@ class WeightVjp(NamedTuple):
 class Network:
     """One ready-to-contract tensor network.
 
-    ``sources`` names, per operand, the input array it holds or the
-    ``(legs, DimSpec)`` of its pattern table.
+    ``sources`` names, per operand, the input array it holds (``x^2`` for
+    the square of ``x``) or the ``(legs, DimSpec)`` of its pattern table.
     """
 
     op: str
@@ -118,7 +120,10 @@ class _Op(NamedTuple):
 
 _X, _W, _Y, _U = "n (g c_in) i#", "(g c_out) c_in k#", "n (g c_out) o#", "n (c_in k#) (o#)"
 _GGN = f"x: {_X}, [i o k], s: c {_Y}, x: n (g c_in) i#_, [i_ o_ k], s: c n (g c_out) o#_ ->"
-_HESS = f"x: {_X}, [i o k], d_y: {_Y}, x: n (g c_in) i#_, [i_ o k] ->"
+# Any two legs of a pattern fix the third, so Π[i,o,k]·Π[i_,o,k] = δ(i,i_)·Π[i,o,k]
+# and Π[i,o,k]·Π[i,o,k_] = δ(k,k_)·Π[i,o,k]: the HesScale diagonals hold one
+# pattern and the squared array, weight_vjp(x⊙x, d_y) and input_vjp(w⊙w, d_y).
+_HESS = f"x^2: {_X}, [i o k], d_y: {_Y} ->"
 
 _OPS = {
     "conv_forward": _Op(f"x: {_X}, [i o k], w: {_W} -> {_Y}"),
@@ -154,9 +159,7 @@ _OPS = {
     "per_sample_ggn_diagonal": _Op(f"{_GGN} n {_W}"),
     "hesscale_weight_diag": _Op(f"{_HESS} {_W}"),
     "per_sample_hesscale_weight_diag": _Op(f"{_HESS} n {_W}"),
-    "hesscale_input_diag": _Op(
-        f"w: {_W}, [i o k], d_y: {_Y}, w: (g c_out) c_in k#_, [i o k_] -> {_X}"
-    ),
+    "hesscale_input_diag": _Op(f"w^2: {_W}, [i o k], d_y: {_Y} -> {_X}"),
 }
 
 OP_NAMES = tuple(_OPS)
@@ -165,8 +168,8 @@ OP_NAMES = tuple(_OPS)
 def _expand(template: str, nd: int) -> tuple[str, tuple, tuple[str, ...]]:
     """Equation, operand sources and input names of ``template`` over ``nd`` dimensions.
 
-    A source is an input name, or ``(legs, d)`` for the pattern of dimension
-    ``d`` whose legs (``"iok"``, ``"ik"`` or ``"ok"``) the slot lists.
+    A source is a term's name (``x`` or ``x^2``) or ``(legs, d)`` for the pattern
+    of dimension ``d`` whose legs (``"iok"``, ``"ik"`` or ``"ok"``) the slot lists.
     """
 
     def spatial(text: str) -> str:
@@ -189,7 +192,7 @@ def _expand(template: str, nd: int) -> tuple[str, tuple, tuple[str, ...]]:
             name, term = part.split(": ")
             terms.append(spatial(term))
             sources.append(name)
-    inputs = tuple(dict.fromkeys(s for s in sources if isinstance(s, str)))
+    inputs = tuple(dict.fromkeys(s.removesuffix("^2") for s in sources if isinstance(s, str)))
     return ", ".join(terms) + " -> " + spatial(out), tuple(sources), inputs
 
 
@@ -255,9 +258,11 @@ def _operands(net: Network, arrays: dict, keep) -> list:
         if not isinstance(src, str):
             out[pos] = _table(*src)
         else:
-            a = out[pos] = np.asarray(arrays[src], dtype=np.float64)
+            name = src.removesuffix("^2")
+            a = np.asarray(arrays[name], dtype=np.float64)
             if a.shape != shape:
-                raise ShapeMismatch(f"{net.op}: {src} has shape {a.shape}, expected {shape}")
+                raise ShapeMismatch(f"{net.op}: {name} has shape {a.shape}, expected {shape}")
+            out[pos] = a if name == src else a * a
     return out
 
 
@@ -287,7 +292,7 @@ def build_network(
     placeholders, roles = [], {}
     for pos, src in enumerate(sources):
         if isinstance(src, str):
-            shape = shapes[src]
+            shape = shapes[src.removesuffix("^2")]
         else:
             legs, dim = src
             size = {"i": dim.input_size, "o": output_size(dim), "k": dim.kernel_size}
@@ -420,20 +425,6 @@ def weight_vjp(
     return WeightVjp(vw, vb)
 
 
-def ggn_diagonal(
-    conv: ConvSpec, x: Tensor, s: Tensor, *, per_sample: bool = False, simplify: bool = False
-) -> Tensor:
-    op = "per_sample_ggn_diagonal" if per_sample else "ggn_diagonal"
-    return run_op(conv, op, {"x": x, "s": s}, simplify=simplify)
-
-
-def hesscale_weight_diag(
-    conv: ConvSpec, x: Tensor, d_y: Tensor, *, per_sample: bool = False, simplify: bool = False
-) -> Tensor:
-    op = "per_sample_hesscale_weight_diag" if per_sample else "hesscale_weight_diag"
-    return run_op(conv, op, {"x": x, "d_y": d_y}, simplify=simplify)
-
-
 unfold_input = _wrapper("unfold_input")
 unfold_kernel = _wrapper("unfold_kernel")
 fold_output = _wrapper("fold_output")
@@ -449,4 +440,8 @@ kfac_reduce_factor = _wrapper("kfac_reduce_factor")
 kfac_expand_transpose = _wrapper("kfac_expand_transpose")
 kfac_reduce_transpose = _wrapper("kfac_reduce_transpose")
 ggn_gram = _wrapper("ggn_gram")
+ggn_diagonal = _wrapper("ggn_diagonal")
+per_sample_ggn_diagonal = _wrapper("per_sample_ggn_diagonal")
+hesscale_weight_diag = _wrapper("hesscale_weight_diag")
+per_sample_hesscale_weight_diag = _wrapper("per_sample_hesscale_weight_diag")
 hesscale_input_diag = _wrapper("hesscale_input_diag")

@@ -6,8 +6,8 @@ zero/one tensor with ``table[i, o, k] == 1`` iff ``i == k*D + o*S - P`` lands
 inside the input.  Contracting it against inputs and kernels reproduces
 convolution and everything adjoint to it.  Because each (o, k) pair names
 at most one input position, the rewrites in :mod:`conv_tn.simplify` replace
-the table by strided reads and writes for every hyper-parameter tuple; the
-dense and down-sampling kinds are the ones that need no padded copy.
+the table by strided reads and writes for every hyper-parameter tuple; a
+gather copies its operand only when a gathered dimension is padded.
 """
 
 from __future__ import annotations

@@ -128,6 +128,17 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert err.strip()
 
 
+@pytest.mark.parametrize("argv", [("--config", "bad.json"), ("--op", "bogus")])
+def test_bench_refused_config_keeps_the_output_file(tmp_path, capsys, argv):
+    (tmp_path / "bad.json").write_text(json.dumps([{"name": "x"}]))
+    target = tmp_path / "results.csv"
+    target.write_text("earlier results\n")
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, _, err = run(capsys, "bench", *argv, "--output", str(target))
+    assert code == 2 and err.startswith("error:")
+    assert target.read_text() == "earlier results\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

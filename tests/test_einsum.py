@@ -231,7 +231,7 @@ def test_plan_optimal_matches_brute_force_fixed_cases():
 
 @pytest.mark.parametrize("layer", ["lenet_c2", "resnext_group"])
 @pytest.mark.parametrize(
-    "op", ["ggn_gram", "ggn_diagonal", "hesscale_weight_diag", "hesscale_input_diag"]
+    "op", ["ggn_gram", "ggn_diagonal", "per_sample_ggn_diagonal"]
 )
 def test_plan_optimal_on_curvature_networks(layer, op):
     # the unsimplified 2d curvature networks have 7-8 operands

@@ -18,10 +18,14 @@ from conv_tn.ops import (
     WeightVjp,
     conv_forward,
     fold_output,
+    ggn_diagonal,
+    hesscale_weight_diag,
     input_jvp,
     input_shapes,
     input_vjp,
     op_cost,
+    per_sample_ggn_diagonal,
+    per_sample_hesscale_weight_diag,
     per_sample_weight_vjp,
     run_op,
     transpose_unfold,
@@ -305,12 +309,10 @@ EQUATIONS = {
             " c n (g c_out) o1_ -> (g c_out) c_in k1",
         "per_sample_ggn_diagonal": "n (g c_in) i1, i1 o1 k1, c n (g c_out) o1, n (g c_in) i1_,"
             " i1_ o1_ k1, c n (g c_out) o1_ -> n (g c_out) c_in k1",
-        "hesscale_weight_diag": "n (g c_in) i1, i1 o1 k1, n (g c_out) o1, n (g c_in) i1_,"
-            " i1_ o1 k1 -> (g c_out) c_in k1",
-        "per_sample_hesscale_weight_diag": "n (g c_in) i1, i1 o1 k1, n (g c_out) o1,"
-            " n (g c_in) i1_, i1_ o1 k1 -> n (g c_out) c_in k1",
-        "hesscale_input_diag": "(g c_out) c_in k1, i1 o1 k1, n (g c_out) o1, (g c_out) c_in k1_,"
-            " i1 o1 k1_ -> n (g c_in) i1",
+        "hesscale_weight_diag": "n (g c_in) i1, i1 o1 k1, n (g c_out) o1 -> (g c_out) c_in k1",
+        "per_sample_hesscale_weight_diag":
+            "n (g c_in) i1, i1 o1 k1, n (g c_out) o1 -> n (g c_out) c_in k1",
+        "hesscale_input_diag": "(g c_out) c_in k1, i1 o1 k1, n (g c_out) o1 -> n (g c_in) i1",
     },
     2: {
         "conv_forward": "n (g c_in) i1 i2, i1 o1 k1, i2 o2 k2, (g c_out) c_in k1 k2"
@@ -348,14 +350,18 @@ EQUATIONS = {
         "per_sample_ggn_diagonal": "n (g c_in) i1 i2, i1 o1 k1, i2 o2 k2, c n (g c_out) o1 o2,"
             " n (g c_in) i1_ i2_, i1_ o1_ k1, i2_ o2_ k2, c n (g c_out) o1_ o2_"
             " -> n (g c_out) c_in k1 k2",
-        "hesscale_weight_diag": "n (g c_in) i1 i2, i1 o1 k1, i2 o2 k2, n (g c_out) o1 o2,"
-            " n (g c_in) i1_ i2_, i1_ o1 k1, i2_ o2 k2 -> (g c_out) c_in k1 k2",
+        "hesscale_weight_diag": "n (g c_in) i1 i2, i1 o1 k1, i2 o2 k2, n (g c_out) o1 o2"
+            " -> (g c_out) c_in k1 k2",
         "per_sample_hesscale_weight_diag": "n (g c_in) i1 i2, i1 o1 k1, i2 o2 k2,"
-            " n (g c_out) o1 o2, n (g c_in) i1_ i2_, i1_ o1 k1, i2_ o2 k2"
-            " -> n (g c_out) c_in k1 k2",
-        "hesscale_input_diag": "(g c_out) c_in k1 k2, i1 o1 k1, i2 o2 k2, n (g c_out) o1 o2,"
-            " (g c_out) c_in k1_ k2_, i1 o1 k1_, i2 o2 k2_ -> n (g c_in) i1 i2",
+            " n (g c_out) o1 o2 -> n (g c_out) c_in k1 k2",
+        "hesscale_input_diag": "(g c_out) c_in k1 k2, i1 o1 k1, i2 o2 k2, n (g c_out) o1 o2"
+            " -> n (g c_in) i1 i2",
     },
+}
+# the HesScale terms read the square of their array
+SQUARED = {
+    "hesscale_weight_diag": "x^2", "per_sample_hesscale_weight_diag": "x^2",
+    "hesscale_input_diag": "w^2",
 }
 
 
@@ -374,6 +380,8 @@ def test_table_expands_to_the_pinned_equations(nd):
         assert net.equation == equation, op
         assert net.seeds == ({"g": layer.groups} if "(g " in equation else {}), op
         assert net.scale == (1.0 / conv.batch if op.startswith("kfac") else None), op
+        squared = [s for s in net.sources if isinstance(s, str) and s.endswith("^2")]
+        assert squared == ([SQUARED[op]] if op in SQUARED else []), op
 
 
 def test_built_network_contracts_to_run_op(small):
@@ -445,3 +453,18 @@ def test_plain_wrappers_take_the_arrays_in_table_order(small):
         input_jvp(small, x)
     assert input_jvp.__name__ == "input_jvp"
     assert np.allclose(input_jvp(small, x, w), direct_conv(small, x, w), atol=1e-12)
+    rng = np.random.default_rng(5)
+    for fn, names in (
+        (ggn_diagonal, ("x", "s")),
+        (per_sample_ggn_diagonal, ("x", "s")),
+        (hesscale_weight_diag, ("x", "d_y")),
+        (per_sample_hesscale_weight_diag, ("x", "d_y")),
+    ):
+        arrays = make_inputs(small, fn.__name__, rng)
+        assert tuple(arrays) == names, fn.__name__
+        got = fn(small, *arrays.values())
+        assert np.array_equal(got, run_op(small, fn.__name__, arrays)), fn.__name__
+        with pytest.raises(TypeError):
+            fn(small, arrays["x"])
+        with pytest.raises(TypeError):
+            fn(small, *arrays.values(), per_sample=True)

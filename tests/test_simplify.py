@@ -9,7 +9,7 @@ from conv_tn import einsum
 from conv_tn.ops import OP_NAMES, ConvSpec, input_shapes, op_cost, run_op
 from conv_tn.pattern import DimSpec, output_size, pattern
 from conv_tn.simplify import RewriteKind, simplify_structure
-from conv_tn.tensor import Unsupported, max_rel_err
+from conv_tn.tensor import ShapeMismatch, Unsupported, max_rel_err
 
 DENSE = ConvSpec(2, 1, 2, 3, (DimSpec(8, 2, 2),))
 DOWN = ConvSpec(2, 1, 2, 3, (DimSpec(8, 1, 2),))
@@ -20,6 +20,7 @@ DILATED = ConvSpec(2, 1, 2, 2, (DimSpec(9, 3, 2, 1, 2), DimSpec(7, 2, 1, 0, 3)))
 GROUPED = ConvSpec(2, 2, 4, 6, (DimSpec(6, 3, 1, 1), DimSpec(5, 2, 2)))
 # stride 3 does not divide the padded input minus the span: a dangling pixel
 DANGLING = ConvSpec(3, 1, 2, 2, (DimSpec(9, 2, 3, 1, 2),))
+LAYERS = (DENSE, DOWN, MIXED, GENERAL, PADDED, DILATED, GROUPED, DANGLING)
 
 # One pattern against one data operand: the input leg is gathered from the
 # operand, or lands in the output with the kernel leg summed, kept in the
@@ -89,9 +90,7 @@ def test_simplify_structure_reusable():
     assert np.allclose(second, einsum.contract(spec, other), atol=1e-12)
 
 
-@pytest.mark.parametrize(
-    "conv", [DENSE, DOWN, MIXED, GENERAL, PADDED, DILATED, GROUPED, DANGLING]
-)
+@pytest.mark.parametrize("conv", LAYERS)
 @pytest.mark.parametrize("op", OP_NAMES)
 def test_rewrites_preserve_op_values(conv, op):
     rng = np.random.default_rng(42)
@@ -105,6 +104,28 @@ def test_rewrites_preserve_op_values(conv, op):
     fancy = run_op(conv, op, arrays, simplify=True)
     assert fancy.shape == plain.shape
     assert max_rel_err(fancy, plain) <= 1e-12
+
+
+# Each HesScale op, its first-order op, and the array it squares.
+HESSCALE = (
+    ("hesscale_weight_diag", "weight_vjp", "x"),
+    ("per_sample_hesscale_weight_diag", "per_sample_weight_vjp", "x"),
+    ("hesscale_input_diag", "input_vjp", "w"),
+)
+
+
+@pytest.mark.parametrize("conv", LAYERS)
+def test_hesscale_is_the_first_order_op_on_the_squared_array(conv):
+    rng = np.random.default_rng(7)
+    for op, first_order, name in HESSCALE:
+        arrays = {k: rng.standard_normal(v) for k, v in input_shapes(conv, op).items()}
+        a = arrays[name]
+        for simplify in (False, True):
+            got = run_op(conv, op, arrays, simplify=simplify)
+            want = run_op(conv, first_order, {name: a * a, "v_y": arrays["d_y"]}, simplify=simplify)
+            assert np.array_equal(got, want), (op, simplify)
+            with pytest.raises(ShapeMismatch, match=f"{op}: {name} has shape"):
+                run_op(conv, op, dict(arrays, **{name: a[..., :-1]}), simplify=simplify)
 
 
 def test_dense_strictly_cheaper():
@@ -136,7 +157,8 @@ REALISTIC = (
     ConvSpec(8, 1, 32, 32, (DimSpec(512, 3, 1, 4, 4),)),
 )
 GEMM_OPS = (
-    "conv_forward", "weight_jvp", "input_jvp", "weight_vjp", "per_sample_weight_vjp", "input_vjp"
+    "conv_forward", "weight_jvp", "input_jvp", "weight_vjp", "per_sample_weight_vjp", "input_vjp",
+    "hesscale_weight_diag", "per_sample_hesscale_weight_diag", "hesscale_input_diag",
 )
 MOVE_OPS = ("unfold_input", "im2col_jvp", "fold_output", "im2col_vjp", "transpose_unfold")
 
@@ -151,3 +173,12 @@ def test_realistic_plans_are_the_im2col_gemm(conv):
         costs = op_cost(conv, op)
         assert len(costs.rewrites) == conv.nd, op  # every pattern operand is gone
         assert costs.simplified.flops == (gemm if op in GEMM_OPS else 0), op
+
+
+def test_hesscale_input_diag_plans_as_input_vjp_on_a_resnet50_layer():
+    # batch 32, 64 -> 64 channels, 56 x 56, 3 x 3 with padding 1; planning is shape-only
+    conv = ConvSpec(32, 1, 64, 64, (DimSpec(56, 3, 1, 1),) * 2)
+    hess, vjp = op_cost(conv, "hesscale_input_diag"), op_cost(conv, "input_vjp")
+    for got, want in ((hess.base, vjp.base), (hess.simplified, vjp.simplified)):
+        assert (got.flops, got.max_intermediate) == (want.flops, want.max_intermediate)
+    assert len(hess.rewrites) == conv.nd
