@@ -8,7 +8,6 @@ gradient estimation (``crs``), and a small CLI (``cli``).
 """
 
 from .crs import (
-    CRS_AXES,
     CrsConfig,
     CrsEstimate,
     InvalidProbability,
@@ -78,7 +77,6 @@ from .pattern import (
     IndexPattern,
     InvalidHyperParams,
     PatternKind,
-    averaged_pattern,
     boundary_pixel_free,
     classify,
     kernel_output_swap,

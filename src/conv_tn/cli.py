@@ -47,7 +47,7 @@ def _dim_from_json(obj) -> DimSpec:
         raise ConfigError(f"unknown dimension keys {sorted(unknown)}")
     if "i" not in obj or "k" not in obj:
         raise ConfigError("dimension entry needs at least 'i' and 'k'")
-    kwargs = {long: int(obj[short]) for short, long in _DIM_KEYS.items() if short in obj}
+    kwargs = {long: obj[short] for short, long in _DIM_KEYS.items() if short in obj}
     return DimSpec(**kwargs)
 
 
@@ -58,12 +58,12 @@ def _layer_from_json(obj) -> tuple[str, ConvSpec]:
         name = str(obj.get("name", "layer"))
         dims = tuple(_dim_from_json(d) for d in obj["dims"])
         conv = ConvSpec(
-            batch=int(obj.get("batch", 1)),
-            groups=int(obj.get("groups", 1)),
-            c_in=int(obj["c_in"]),
-            c_out=int(obj["c_out"]),
+            batch=obj.get("batch", 1),
+            groups=obj.get("groups", 1),
+            c_in=obj["c_in"],
+            c_out=obj["c_out"],
             dims=dims,
-            has_bias=bool(obj.get("bias", False)),
+            has_bias=obj.get("bias", False),
         )
     except ConfigError:
         raise
@@ -96,12 +96,13 @@ def load_layers(path: str | None) -> list[tuple[str, ConvSpec]]:
 
 
 def _selected_ops(args) -> tuple[str, ...]:
+    """The ops named by ``--op``, each once in the order first given, or all of them."""
     if not args.op:
         return OP_NAMES
     for name in args.op:
         if name not in OP_NAMES:
             raise ConfigError(f"unknown op {name!r}; known ops: {', '.join(OP_NAMES)}")
-    return tuple(args.op)
+    return tuple(dict.fromkeys(args.op))
 
 
 def _out_stream(args):

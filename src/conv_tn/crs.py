@@ -5,7 +5,8 @@ spatial locations.  Dropping a random subset of channel or spatial indices
 and rescaling the survivors by the inverse keep probability gives an
 unbiased estimate at a fraction of the cost.  Channels are sampled per
 group (the same channel subset in every group), spatial axes are sampled
-by narrowing the input together with the matching pattern rows.
+by narrowing the input together with the matching pattern rows.  The axes
+are named ``c_in`` and ``i1`` ... ``i<nd>``, one per spatial dimension.
 
 ``masked_weight_vjp`` is the deterministic core: it takes explicit boolean
 masks so tests can enumerate every outcome.  ``crs_weight_vjp`` draws the
@@ -14,6 +15,7 @@ masks from a seeded generator.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -23,11 +25,17 @@ from .ops import ConvSpec, Network, equation, execute
 from .pattern import pattern
 from .tensor import ShapeMismatch, Tensor, Unsupported
 
-CRS_AXES = ("c_in", "i1", "i2")
+_SPATIAL_AXIS = re.compile(r"i([1-9][0-9]*)")
 
 
 class InvalidProbability(ValueError):
     """A keep probability is outside (0, 1] or refers to an unknown axis."""
+
+
+def _dimension(axis: str) -> int | None:
+    """The 0-based spatial dimension that the axis ``i<d>`` names, None for any other axis."""
+    match = _SPATIAL_AXIS.fullmatch(axis) if isinstance(axis, str) else None
+    return int(match[1]) - 1 if match else None
 
 
 @dataclass(frozen=True)
@@ -39,8 +47,8 @@ class CrsConfig:
 
     def __post_init__(self):
         for axis, p in self.keep_probs.items():
-            if axis not in CRS_AXES:
-                raise InvalidProbability(f"unknown axis {axis!r}, pick from {CRS_AXES}")
+            if axis != "c_in" and _dimension(axis) is None:
+                raise InvalidProbability(f"unknown axis {axis!r}, pick c_in or i<d> for d >= 1")
             if not (0.0 < float(p) <= 1.0):
                 raise InvalidProbability(f"keep probability for {axis!r} must be in (0, 1], got {p}")
 
@@ -53,9 +61,9 @@ class CrsEstimate(NamedTuple):
 def axis_size(conv: ConvSpec, axis: str) -> int:
     if axis == "c_in":
         return conv.c_in // conv.groups
-    if axis not in ("i1", "i2"):
+    index = _dimension(axis)
+    if index is None:
         raise Unsupported(f"unknown subsampling axis {axis!r}")
-    index = {"i1": 0, "i2": 1}[axis]
     if index >= conv.nd:
         raise Unsupported(f"axis {axis!r} does not exist on a {conv.nd}d convolution")
     return conv.dims[index].input_size
@@ -100,8 +108,8 @@ def masked_weight_vjp(
 
     out_shape = (conv.c_out, cig, *conv.kernel_sizes)
     tables = [np.asarray(pattern(d).table) for d in conv.dims]
-    for spatial, axis_name in enumerate(CRS_AXES[1 : conv.nd + 1]):
-        mask = checked.get(axis_name)
+    for spatial in range(conv.nd):
+        mask = checked.get(f"i{spatial + 1}")
         if mask is None:
             continue
         x = np.compress(mask, x, axis=2 + spatial)

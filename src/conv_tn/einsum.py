@@ -29,7 +29,9 @@ from .tensor import ShapeMismatch, Tensor, Unsupported
 
 Atom = str | tuple[str, ...]
 
-# the exact planner's search grows as 3^n; the largest convolution network has 8
+# the exact planner's search grows as 3^n.  Unsimplified, the KFAC-expand and
+# GGN networks over nd spatial dimensions have 2 + 2nd and 4 + 2nd operands, so
+# a GGN network fits up to 3d (10) and is refused in 4d (12); simplified it has 4
 MAX_OPERANDS = 10
 
 

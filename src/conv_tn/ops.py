@@ -7,8 +7,9 @@ an entry's template:
 * ``x: n (g c_in) i#`` is a term over the input array ``x``.  An op
   takes exactly the arrays its terms name, in order of first appearance;
   a missing, None, extra or misspelled array is a ``TypeError``.
-* ``i#`` expands to ``i1 i2`` and ``i#_`` to ``i1_ i2_``.  A group left
-  with one index is that index.
+* ``i#`` expands to one index per spatial dimension, ``i1 i2 i3`` in 3d,
+  and ``i#_`` to ``i1_ i2_ i3_``.  A group left with one index is that
+  index.
 * A pattern slot ``[i o k]`` or ``[i_ o k_]`` expands to one ``I x O x K``
   pattern term per dimension; ``[i k]`` and ``[o k]`` are the pattern
   averaged over its missing leg.
@@ -30,20 +31,24 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
 
 from . import einsum
-from .pattern import DimSpec, InvalidHyperParams, output_size, pattern
+from .pattern import DimSpec, InvalidHyperParams, check_int, output_size, pattern
 from .simplify import RewriteStep, SimplifyResult, simplify_structure
 from .tensor import ShapeMismatch, Tensor, Unsupported
 
 
 @dataclass(frozen=True)
 class ConvSpec:
-    """A convolution layer: batch, channel, group, and spatial hyper-parameters."""
+    """A convolution layer: batch, channel, group, and spatial hyper-parameters.
+
+    ``dims`` holds one :class:`DimSpec` per spatial dimension, any number >= 1.
+    """
 
     batch: int
     groups: int
@@ -54,16 +59,16 @@ class ConvSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(self.dims))
-        if self.batch < 1:
-            raise InvalidHyperParams(f"batch must be >= 1, got {self.batch}")
-        if self.groups < 1:
-            raise InvalidHyperParams(f"groups must be >= 1, got {self.groups}")
+        for name in ("batch", "groups", "c_in", "c_out"):
+            check_int(name, getattr(self, name), 1)
         if self.c_in % self.groups or self.c_out % self.groups:
             raise InvalidHyperParams(
                 f"channels ({self.c_in}, {self.c_out}) must divide into {self.groups} groups"
             )
-        if len(self.dims) not in (1, 2):
-            raise InvalidHyperParams("only 1d and 2d convolutions are supported")
+        if not self.dims:
+            raise InvalidHyperParams("a convolution needs at least one spatial dimension")
+        if not isinstance(self.has_bias, bool):
+            raise InvalidHyperParams(f"has_bias must be true or false, got {self.has_bias!r}")
 
     @property
     def nd(self) -> int:
@@ -165,12 +170,18 @@ _OPS = {
 OP_NAMES = tuple(_OPS)
 
 
-def _expand(template: str, nd: int) -> tuple[str, tuple, tuple[str, ...]]:
-    """Equation, operand sources and input names of ``template`` over ``nd`` dimensions.
+@lru_cache(maxsize=256)
+def _expanded(op: str, nd: int) -> tuple[str, tuple, tuple[str, ...]]:
+    """Equation, operand sources and input names of ``op`` over ``nd`` dimensions.
 
     A source is a term's name (``x`` or ``x^2``) or ``(legs, d)`` for the pattern
     of dimension ``d`` whose legs (``"iok"``, ``"ik"`` or ``"ok"``) the slot lists.
+    Each expansion is built on first use and cached.
     """
+    if op not in _OPS:
+        raise Unsupported(f"unknown operation {op!r}")
+    if nd < 1:
+        raise Unsupported(f"{op} needs at least one spatial dimension, got {nd}")
 
     def spatial(text: str) -> str:
         text = re.sub(
@@ -180,7 +191,7 @@ def _expand(template: str, nd: int) -> tuple[str, tuple, tuple[str, ...]]:
         )
         return re.sub(r"\((\S+)\)", r"\1", text)
 
-    lhs, out = template.split(" -> ")
+    lhs, out = _OPS[op].template.split(" -> ")
     terms, sources = [], []
     for part in lhs.split(", "):
         if part.startswith("["):
@@ -194,15 +205,6 @@ def _expand(template: str, nd: int) -> tuple[str, tuple, tuple[str, ...]]:
             sources.append(name)
     inputs = tuple(dict.fromkeys(s.removesuffix("^2") for s in sources if isinstance(s, str)))
     return ", ".join(terms) + " -> " + spatial(out), tuple(sources), inputs
-
-
-_EXPANDED = {(op, nd): _expand(entry.template, nd) for op, entry in _OPS.items() for nd in (1, 2)}
-
-
-def _expanded(op: str, nd: int) -> tuple[str, tuple, tuple[str, ...]]:
-    if op not in _OPS:
-        raise Unsupported(f"unknown operation {op!r}")
-    return _EXPANDED[op, nd]
 
 
 def equation(op: str, nd: int) -> str:
@@ -230,8 +232,8 @@ def input_shapes(conv: ConvSpec, op: str, columns: int = 2) -> dict[str, tuple[i
 
 
 def _table(legs: str, dim: DimSpec) -> Tensor:
-    table = pattern(dim).table
-    return table if legs == "iok" else table.mean(axis=1 if legs == "ik" else 0)
+    p = pattern(dim)
+    return p.table if legs == "iok" else getattr(p, legs)
 
 
 def _columns(op: str, arrays: dict) -> int:
@@ -387,7 +389,7 @@ def op_cost(conv: ConvSpec, op: str, *, columns: int = 2) -> OpCosts:
 
 def _wrapper(op: str):
     """The public function of ``op``: ``op(conv, *arrays, simplify=False)``."""
-    names = _EXPANDED[op, 1][2]
+    names = _expanded(op, 1)[2]
 
     def call(conv: ConvSpec, *arrays: Tensor, simplify: bool = False) -> Tensor:
         # a missing or extra array pairs with None, which run_op refuses

@@ -1,19 +1,22 @@
 """Independent reference implementations used to arbitrate correctness.
 
 Everything here is deliberately naive: explicit loops, explicit bounds
-checks for zero padding, and dense matrices.  This module never calls the
-einsum engine or the operation builders, so agreement between the two
-routes is evidence, not tautology.  Keep it that way.
+checks for zero padding, and dense matrices.  Each reference is written
+once, over tuples of spatial indices, for any number of spatial
+dimensions.  This module never calls the einsum engine or the operation
+builders, so agreement between the two routes is evidence, not
+tautology.  Keep it that way.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .pattern import output_size, pattern
+from .pattern import output_size
 from .tensor import ShapeMismatch, Tensor, Unsupported
 
 if TYPE_CHECKING:
@@ -26,12 +29,26 @@ def _spatial(spec: "ConvSpec") -> tuple[tuple[int, ...], tuple[int, ...]]:
     return ins, outs
 
 
-def direct_conv(spec: "ConvSpec", x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Convolution by definition: loops over every output entry.
+def _taps(spec: "ConvSpec"):
+    """Each output position with the ``(kernel offset, input position)`` pairs
+    whose input lands inside, all as index tuples, both in row-major order.
 
-    Padding is implicit: kernel positions whose input coordinate falls
-    outside the input contribute nothing.
+    Padding is implicit: a pair whose input coordinate falls outside the
+    input in any dimension is left out.
     """
+    dims = spec.dims
+    offsets = list(itertools.product(*(range(d.kernel_size) for d in dims)))
+    for o in itertools.product(*(range(output_size(d)) for d in dims)):
+        pairs = []
+        for k in offsets:
+            i = tuple(kk * d.dilation + oo * d.stride - d.padding for kk, oo, d in zip(k, o, dims))
+            if all(0 <= ii < d.input_size for ii, d in zip(i, dims)):
+                pairs.append((k, i))
+        yield o, pairs
+
+
+def direct_conv(spec: "ConvSpec", x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Convolution by definition: loops over every output entry."""
     ins, outs = _spatial(spec)
     g = spec.groups
     cig, cog = spec.c_in // g, spec.c_out // g
@@ -41,39 +58,13 @@ def direct_conv(spec: "ConvSpec", x: Tensor, w: Tensor, b: Tensor | None = None)
         raise ShapeMismatch(f"kernel {w.shape} does not match {spec}")
 
     y = np.zeros((spec.batch, spec.c_out, *outs), dtype=np.float64)
-    if len(spec.dims) == 1:
-        (d1,) = spec.dims
-        for n in range(spec.batch):
-            for gg in range(g):
-                xs = x[n, gg * cig : (gg + 1) * cig]
-                for co in range(cog):
-                    wk = w[gg * cog + co]
-                    for o1 in range(outs[0]):
-                        acc = 0.0
-                        for k1 in range(d1.kernel_size):
-                            i1 = k1 * d1.dilation + o1 * d1.stride - d1.padding
-                            if 0 <= i1 < d1.input_size:
-                                acc += float(np.dot(xs[:, i1], wk[:, k1]))
-                        y[n, gg * cog + co, o1] = acc
-    else:
-        d1, d2 = spec.dims
-        for n in range(spec.batch):
-            for gg in range(g):
-                xs = x[n, gg * cig : (gg + 1) * cig]
-                for co in range(cog):
-                    wk = w[gg * cog + co]
-                    for o1 in range(outs[0]):
-                        for o2 in range(outs[1]):
-                            acc = 0.0
-                            for k1 in range(d1.kernel_size):
-                                i1 = k1 * d1.dilation + o1 * d1.stride - d1.padding
-                                if not 0 <= i1 < d1.input_size:
-                                    continue
-                                for k2 in range(d2.kernel_size):
-                                    i2 = k2 * d2.dilation + o2 * d2.stride - d2.padding
-                                    if 0 <= i2 < d2.input_size:
-                                        acc += float(np.dot(xs[:, i1, i2], wk[:, k1, k2]))
-                            y[n, gg * cog + co, o1, o2] = acc
+    for o, taps in _taps(spec):
+        for n, co in itertools.product(range(spec.batch), range(spec.c_out)):
+            xs = x[n, co // cog * cig : (co // cog + 1) * cig]
+            acc = 0.0
+            for k, i in taps:
+                acc += float(np.dot(xs[(slice(None), *i)], w[(co, slice(None), *k)]))
+            y[(n, co, *o)] = acc
     if b is not None:
         if b.shape != (spec.c_out,):
             raise ShapeMismatch(f"bias {b.shape}, expected {(spec.c_out,)}")
@@ -87,34 +78,13 @@ def direct_unfold(spec: "ConvSpec", x: Tensor) -> Tensor:
     if x.shape != (spec.batch, spec.c_in, *ins):
         raise ShapeMismatch(f"input {x.shape}, expected {(spec.batch, spec.c_in, *ins)}")
     ks = tuple(d.kernel_size for d in spec.dims)
-    u = np.zeros((spec.batch, spec.c_in * int(np.prod(ks)), int(np.prod(outs))))
-    if len(spec.dims) == 1:
-        (d1,) = spec.dims
-        for n in range(spec.batch):
-            for ci in range(spec.c_in):
-                for k1 in range(ks[0]):
-                    for o1 in range(outs[0]):
-                        i1 = k1 * d1.dilation + o1 * d1.stride - d1.padding
-                        if 0 <= i1 < d1.input_size:
-                            u[n, ci * ks[0] + k1, o1] = x[n, ci, i1]
-    else:
-        d1, d2 = spec.dims
-        for n in range(spec.batch):
-            for ci in range(spec.c_in):
-                for k1 in range(ks[0]):
-                    i1s = [
-                        (o1, k1 * d1.dilation + o1 * d1.stride - d1.padding)
-                        for o1 in range(outs[0])
-                    ]
-                    for k2 in range(ks[1]):
-                        row = ci * ks[0] * ks[1] + k1 * ks[1] + k2
-                        for o1, i1 in i1s:
-                            if not 0 <= i1 < d1.input_size:
-                                continue
-                            for o2 in range(outs[1]):
-                                i2 = k2 * d2.dilation + o2 * d2.stride - d2.padding
-                                if 0 <= i2 < d2.input_size:
-                                    u[n, row, o1 * outs[1] + o2] = x[n, ci, i1, i2]
+    kp = int(np.prod(ks))
+    u = np.zeros((spec.batch, spec.c_in * kp, int(np.prod(outs))))
+    for o, taps in _taps(spec):
+        col = np.ravel_multi_index(o, outs)
+        for k, i in taps:
+            # the rows (channel, kernel offset) of every channel at once
+            u[:, np.ravel_multi_index(k, ks) :: kp, col] = x[(slice(None), slice(None), *i)]
     return u
 
 
@@ -128,53 +98,28 @@ def direct_transpose_unfold(spec: "ConvSpec", y: Tensor) -> Tensor:
     if y.shape != (spec.batch, spec.c_out, *outs):
         raise ShapeMismatch(f"output {y.shape}, expected {(spec.batch, spec.c_out, *outs)}")
     ks = tuple(d.kernel_size for d in spec.dims)
-    t = np.zeros((spec.batch, spec.c_out * int(np.prod(ks)), int(np.prod(ins))))
-    if len(spec.dims) == 1:
-        (d1,) = spec.dims
-        for n in range(spec.batch):
-            for co in range(spec.c_out):
-                for k1 in range(ks[0]):
-                    for o1 in range(outs[0]):
-                        i1 = k1 * d1.dilation + o1 * d1.stride - d1.padding
-                        if 0 <= i1 < d1.input_size:
-                            t[n, co * ks[0] + k1, i1] += y[n, co, o1]
-    else:
-        d1, d2 = spec.dims
-        for n in range(spec.batch):
-            for co in range(spec.c_out):
-                for k1 in range(ks[0]):
-                    for k2 in range(ks[1]):
-                        row = co * ks[0] * ks[1] + k1 * ks[1] + k2
-                        for o1 in range(outs[0]):
-                            i1 = k1 * d1.dilation + o1 * d1.stride - d1.padding
-                            if not 0 <= i1 < d1.input_size:
-                                continue
-                            for o2 in range(outs[1]):
-                                i2 = k2 * d2.dilation + o2 * d2.stride - d2.padding
-                                if 0 <= i2 < d2.input_size:
-                                    t[n, row, i1 * ins[1] + i2] += y[n, co, o1, o2]
+    kp = int(np.prod(ks))
+    t = np.zeros((spec.batch, spec.c_out * kp, int(np.prod(ins))))
+    for o, taps in _taps(spec):
+        for k, i in taps:
+            row = np.ravel_multi_index(k, ks)
+            t[:, row::kp, np.ravel_multi_index(i, ins)] += y[(slice(None), slice(None), *o)]
     return t
 
 
 def toeplitz(spec: "ConvSpec", w: Tensor) -> Tensor:
     """The convolution as one dense matrix mapping flat input to flat output.
 
-    Assembled from the nonzero pattern triples; ungrouped convolutions only.
+    Ungrouped convolutions only.
     """
     if spec.groups != 1:
         raise Unsupported("toeplitz matrix is only assembled for groups == 1")
     ins, outs = _spatial(spec)
-    if len(spec.dims) == 1:
-        (p1,) = (pattern(spec.dims[0]),)
-        a = np.zeros((spec.c_out, outs[0], spec.c_in, ins[0]))
-        for i1, o1, k1 in p1.triples():
-            a[:, o1, :, i1] += w[:, :, k1]
-        return a.reshape(spec.c_out * outs[0], spec.c_in * ins[0])
-    p1, p2 = pattern(spec.dims[0]), pattern(spec.dims[1])
-    a = np.zeros((spec.c_out, outs[0] * outs[1], spec.c_in, ins[0] * ins[1]))
-    for i1, o1, k1 in p1.triples():
-        for i2, o2, k2 in p2.triples():
-            a[:, o1 * outs[1] + o2, :, i1 * ins[1] + i2] += w[:, :, k1, k2]
+    a = np.zeros((spec.c_out, int(np.prod(outs)), spec.c_in, int(np.prod(ins))))
+    for o, taps in _taps(spec):
+        row = np.ravel_multi_index(o, outs)
+        for k, i in taps:
+            a[:, row, :, np.ravel_multi_index(i, ins)] += w[(slice(None), slice(None), *k)]
     return a.reshape(spec.c_out * int(np.prod(outs)), spec.c_in * int(np.prod(ins)))
 
 
@@ -224,36 +169,16 @@ def ggn_explicit(spec: "ConvSpec", x: Tensor, s_y: Tensor) -> GgnOracle:
         )
     n_cols = s_y.shape[0]
 
-    jac = np.zeros((spec.batch, n_out, w_dim))
-    if len(spec.dims) == 1:
-        (d1,) = spec.dims
-        for co in range(spec.c_out):
-            gg = co // cog
-            for ci in range(cig):
-                for k1 in range(ks[0]):
-                    col = (co * cig + ci) * ks[0] + k1
-                    for o1 in range(outs[0]):
-                        i1 = k1 * d1.dilation + o1 * d1.stride - d1.padding
-                        if 0 <= i1 < d1.input_size:
-                            row = co * outs[0] + o1
-                            jac[:, row, col] = x[:, gg * cig + ci, i1]
-    else:
-        d1, d2 = spec.dims
-        for co in range(spec.c_out):
-            gg = co // cog
-            for ci in range(cig):
-                for k1 in range(ks[0]):
-                    for k2 in range(ks[1]):
-                        col = ((co * cig + ci) * ks[0] + k1) * ks[1] + k2
-                        for o1 in range(outs[0]):
-                            i1 = k1 * d1.dilation + o1 * d1.stride - d1.padding
-                            if not 0 <= i1 < d1.input_size:
-                                continue
-                            for o2 in range(outs[1]):
-                                i2 = k2 * d2.dilation + o2 * d2.stride - d2.padding
-                                if 0 <= i2 < d2.input_size:
-                                    row = (co * outs[0] + o1) * outs[1] + o2
-                                    jac[:, row, col] = x[:, gg * cig + ci, i1, i2]
+    # the jacobian's rows are (co, output position), its columns (co, ci, kernel offset)
+    jac = np.zeros((spec.batch, spec.c_out, int(np.prod(outs)), spec.c_out, cig, int(np.prod(ks))))
+    for o, taps in _taps(spec):
+        row = np.ravel_multi_index(o, outs)
+        for k, i in taps:
+            col = np.ravel_multi_index(k, ks)
+            for co in range(spec.c_out):
+                gg = co // cog
+                jac[:, co, row, co, :, col] = x[(slice(None), slice(gg * cig, (gg + 1) * cig), *i)]
+    jac = jac.reshape(spec.batch, n_out, w_dim)
 
     # columns of the weight-space curvature stack, laid out (c, n) row-major
     s_w = np.zeros((w_dim, n_cols * spec.batch))

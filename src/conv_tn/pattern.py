@@ -13,6 +13,7 @@ gather copies its operand only when a gathered dimension is padded.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,6 +24,17 @@ from .tensor import Tensor
 
 class InvalidHyperParams(ValueError):
     """Hyper-parameters describe no valid convolution."""
+
+
+def check_int(name: str, value, least: int) -> None:
+    """Raise :class:`InvalidHyperParams` unless ``value`` is an integer of at least ``least``.
+
+    A bool, a float or a string is refused even when it would convert.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidHyperParams(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidHyperParams(f"{name} must be >= {least}, got {value}")
 
 
 class BoundaryPixels(ValueError):
@@ -46,11 +58,8 @@ class DimSpec:
     dilation: int = 1
 
     def __post_init__(self):
-        for name in ("input_size", "kernel_size", "stride", "dilation"):
-            if int(getattr(self, name)) < 1:
-                raise InvalidHyperParams(f"{name} must be >= 1, got {getattr(self, name)}")
-        if int(self.padding) < 0:
-            raise InvalidHyperParams(f"padding must be >= 0, got {self.padding}")
+        for name in ("input_size", "kernel_size", "stride", "padding", "dilation"):
+            check_int(name, getattr(self, name), 0 if name == "padding" else 1)
         if self.input_size + 2 * self.padding - self.span < 0:
             raise InvalidHyperParams(
                 f"kernel span {self.span} exceeds padded input "
@@ -96,6 +105,8 @@ class IndexPattern:
     output_size: int
     kind: PatternKind
     table: Tensor
+    ik: Tensor  # the table averaged over its output leg, I x K
+    ok: Tensor  # the table averaged over its input leg, O x K
 
     @property
     def nnz(self) -> int:
@@ -110,27 +121,29 @@ class IndexPattern:
 def pattern(dim: DimSpec) -> IndexPattern:
     """The dense pattern tensor for ``dim``, cached per hyper-parameter tuple.
 
-    The cache keeps the 256 most recently used tables; each is marked
-    read-only since callers share it.
+    The cache keeps the 256 most recently used patterns.  An (i, k) pair
+    meets at most one o and an (o, k) pair at most one i, so an averaged
+    entry is ``1/O`` or ``1/I`` where the table holds a one, as ``table.mean``
+    gives.  The three tables share one block, allocated with the pattern, so
+    no long-lived array is left later between an op's large transient ones;
+    all are read-only since callers share them.
     """
-    o_size = output_size(dim)
-    table = np.zeros((dim.input_size, o_size, dim.kernel_size), dtype=np.float64)
+    i_size, o_size, k_size = dim.input_size, output_size(dim), dim.kernel_size
+    n = i_size * o_size * k_size
+    block = np.zeros(n + (i_size + o_size) * k_size, dtype=np.float64)
+    table = block[:n].reshape(i_size, o_size, k_size)
+    ik = block[n : n + i_size * k_size].reshape(i_size, k_size)
+    ok = block[n + i_size * k_size :].reshape(o_size, k_size)
     for o in range(o_size):
-        for k in range(dim.kernel_size):
+        for k in range(k_size):
             i = k * dim.dilation + o * dim.stride - dim.padding
-            if 0 <= i < dim.input_size:
+            if 0 <= i < i_size:
                 table[i, o, k] = 1.0
-    table.flags.writeable = False
-    return IndexPattern(dim, o_size, classify(dim), table)
-
-
-def averaged_pattern(dim: DimSpec) -> Tensor:
-    """Mean of the pattern over the output index: an ``I x K`` tensor.
-
-    Contracting with it instead of the full pattern turns 'sum over all
-    output locations, then average' into a single cheap step.
-    """
-    return pattern(dim).table.mean(axis=1)
+                ik[i, k] = 1.0 / o_size
+                ok[o, k] = 1.0 / i_size
+    for view in (table, ik, ok):
+        view.flags.writeable = False
+    return IndexPattern(dim, o_size, classify(dim), table, ik, ok)
 
 
 def kernel_output_swap(p: IndexPattern) -> IndexPattern:

@@ -9,6 +9,7 @@ only shared machinery is the index-pattern builder itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,29 +24,19 @@ from .oracle import (
     toeplitz,
 )
 from .ops import ConvSpec, WeightVjp
-from .pattern import DimSpec, averaged_pattern, pattern
+from .pattern import DimSpec, pattern
 from .tensor import Tensor, Unsupported, max_rel_err
 
 
 def _triple_products(conv: ConvSpec):
-    """Joint nonzero entries of the per-dimension patterns."""
-    per_dim = [pattern(d).triples() for d in conv.dims]
-    if conv.nd == 1:
-        return [(t,) for t in per_dim[0]]
-    return [(t1, t2) for t1 in per_dim[0] for t2 in per_dim[1]]
-
-
-def _unpack(ts):
-    i = tuple(t[0] for t in ts)
-    o = tuple(t[1] for t in ts)
-    k = tuple(t[2] for t in ts)
-    return i, o, k
+    """Joint nonzero entries of the per-dimension patterns, as (i, o, k) index tuples."""
+    for ts in itertools.product(*(pattern(d).triples() for d in conv.dims)):
+        yield tuple(zip(*ts))
 
 
 def oracle_fold_output(conv: ConvSpec, y_like: Tensor) -> Tensor:
     out = np.zeros((conv.batch, conv.c_in, *conv.input_sizes))
-    for ts in _triple_products(conv):
-        i, o, _ = _unpack(ts)
+    for i, o, _ in _triple_products(conv):
         out[(slice(None), slice(None), *i)] += y_like[(slice(None), slice(None), *o)]
     return out
 
@@ -54,8 +45,7 @@ def oracle_weight_vjp(conv: ConvSpec, x: Tensor, v_y: Tensor) -> WeightVjp:
     cig = conv.c_in // conv.groups
     cog = conv.c_out // conv.groups
     vw = np.zeros((conv.c_out, cig, *conv.kernel_sizes))
-    for ts in _triple_products(conv):
-        i, o, k = _unpack(ts)
+    for i, o, k in _triple_products(conv):
         for g in range(conv.groups):
             xs = x[(slice(None), slice(g * cig, (g + 1) * cig), *i)]
             vs = v_y[(slice(None), slice(g * cog, (g + 1) * cog), *o)]
@@ -68,8 +58,7 @@ def oracle_per_sample_weight_vjp(conv: ConvSpec, x: Tensor, v_y: Tensor) -> Tens
     cig = conv.c_in // conv.groups
     cog = conv.c_out // conv.groups
     out = np.zeros((conv.batch, conv.c_out, cig, *conv.kernel_sizes))
-    for ts in _triple_products(conv):
-        i, o, k = _unpack(ts)
+    for i, o, k in _triple_products(conv):
         for g in range(conv.groups):
             xs = x[(slice(None), slice(g * cig, (g + 1) * cig), *i)]
             vs = v_y[(slice(None), slice(g * cog, (g + 1) * cog), *o)]
@@ -83,8 +72,7 @@ def oracle_input_vjp(conv: ConvSpec, w: Tensor, v_y: Tensor) -> Tensor:
     cig = conv.c_in // conv.groups
     cog = conv.c_out // conv.groups
     out = np.zeros((conv.batch, conv.c_in, *conv.input_sizes))
-    for ts in _triple_products(conv):
-        i, o, k = _unpack(ts)
+    for i, o, k in _triple_products(conv):
         for g in range(conv.groups):
             vs = v_y[(slice(None), slice(g * cog, (g + 1) * cog), *o)]
             ws = w[(slice(g * cog, (g + 1) * cog), slice(None), *k)]
@@ -93,23 +81,20 @@ def oracle_input_vjp(conv: ConvSpec, w: Tensor, v_y: Tensor) -> Tensor:
 
 
 def oracle_im2col_vjp(conv: ConvSpec, v_u: Tensor) -> Tensor:
-    ks = conv.kernel_sizes
-    outs = conv.out_sizes
-    kp = math.prod(ks)
+    kp = math.prod(conv.kernel_sizes)
     out = np.zeros((conv.batch, conv.c_in, *conv.input_sizes))
-    for ts in _triple_products(conv):
-        i, o, k = _unpack(ts)
-        kflat = k[0] * ks[1] + k[1] if conv.nd == 2 else k[0]
-        oflat = o[0] * outs[1] + o[1] if conv.nd == 2 else o[0]
+    for i, o, k in _triple_products(conv):
+        kflat = np.ravel_multi_index(k, conv.kernel_sizes)
+        oflat = np.ravel_multi_index(o, conv.out_sizes)
         out[(slice(None), slice(None), *i)] += v_u[:, kflat::kp, oflat]
     return out
 
 
-def _averaged_unfold(conv: ConvSpec, x: Tensor) -> Tensor:
-    m = x
+def _averaged_unfold(conv: ConvSpec, a: Tensor, legs: str) -> Tensor:
+    """``a``'s spatial axes contracted with the averaged patterns ``legs``, one row per sample."""
     for d in conv.dims:
-        m = np.tensordot(m, averaged_pattern(d), axes=([2], [0]))
-    return m.reshape(conv.batch, conv.c_in * math.prod(conv.kernel_sizes))
+        a = np.tensordot(a, getattr(pattern(d), legs), axes=([2], [0]))
+    return a.reshape(conv.batch, -1)
 
 
 def _gram_per_group(rows: Tensor, groups: int, batch: int) -> Tensor:
@@ -132,7 +117,7 @@ def oracle_kfac_expand(conv: ConvSpec, x: Tensor) -> Tensor:
 
 
 def oracle_kfac_reduce(conv: ConvSpec, x: Tensor) -> Tensor:
-    return _gram_per_group(_averaged_unfold(conv, x), conv.groups, conv.batch)
+    return _gram_per_group(_averaged_unfold(conv, x, "ik"), conv.groups, conv.batch)
 
 
 def oracle_kfac_expand_transpose(conv: ConvSpec, y: Tensor) -> Tensor:
@@ -140,11 +125,7 @@ def oracle_kfac_expand_transpose(conv: ConvSpec, y: Tensor) -> Tensor:
 
 
 def oracle_kfac_reduce_transpose(conv: ConvSpec, y: Tensor) -> Tensor:
-    m = y
-    for d in conv.dims:
-        m = np.tensordot(m, pattern(d).table.mean(axis=0), axes=([2], [0]))
-    m = m.reshape(conv.batch, conv.c_out * math.prod(conv.kernel_sizes))
-    return _gram_per_group(m, conv.groups, conv.batch)
+    return _gram_per_group(_averaged_unfold(conv, y, "ok"), conv.groups, conv.batch)
 
 
 def oracle_hesscale_weight(

@@ -243,3 +243,59 @@ def test_load_layers_single_dict(tmp_path):
 def test_load_layers_missing_file():
     with pytest.raises(ConfigError):
         load_layers("/nonexistent/layers.json")
+
+
+def test_repeated_op_runs_once(tmp_path, capsys):
+    code, out, _ = run(
+        capsys, "verify", "--count", "3", "--op", "conv_forward", "--op", "weight_vjp",
+        "--op", "conv_forward",
+    )
+    assert code == 0
+    rows = [line.split()[0] for line in out.splitlines()[:-1]]
+    assert rows == ["conv_forward", "weight_vjp"]
+    assert "total cases: 6," in out
+    code, out, _ = run(capsys, "flops", "--op", "conv_forward", "--op", "conv_forward")
+    assert code == 0
+    assert len(json.loads(out)) == len(load_layers(None))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"c_in": 0},
+        {"c_out": 0},
+        {"batch": 2.5},
+        {"groups": 1.0},
+        {"c_in": "8"},
+        {"batch": True},
+        {"dims": [{"i": 7.9, "k": 2}]},
+        {"dims": [{"i": 8, "k": "3"}]},
+        {"dims": [{"i": 8, "k": 3, "p": 0.5}]},
+        {"bias": "false"},
+    ],
+)
+@pytest.mark.parametrize("command", ["verify", "flops"])
+def test_non_integer_or_empty_layer_exits_2(tmp_path, capsys, change, command):
+    layer = {"name": "bad", "batch": 1, "groups": 1, "c_in": 2, "c_out": 2,
+             "dims": [{"i": 8, "k": 3}]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**layer, **change}))
+    code, _, err = run(capsys, command, "--config", str(path), "--op", "conv_forward")
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "flops"])
+def test_three_dimensional_layer_file(tmp_path, capsys, command):
+    layer = {"name": "volume", "batch": 2, "groups": 2, "c_in": 2, "c_out": 4, "bias": True,
+             "dims": [{"i": 5, "k": 2, "s": 2, "p": 1}, {"i": 4, "k": 2, "d": 2}, {"i": 3, "k": 2}]}
+    path = tmp_path / "volume.json"
+    path.write_text(json.dumps([layer]))
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert code == 0
+    if command == "verify":
+        assert "FAIL" not in out and "total cases: 21, skipped=1" in out
+    else:
+        rows = json.loads(out)
+        assert len(rows) == 21 and "skipped=1" in err
+        assert all("k3" in row["equation"] for row in rows)

@@ -7,7 +7,6 @@ import pytest
 
 from conv_tn import ops
 from conv_tn.crs import (
-    CRS_AXES,
     CrsConfig,
     InvalidProbability,
     axis_size,
@@ -32,13 +31,14 @@ def data(conv, seed=0):
 
 
 def test_config_validation():
-    CrsConfig({"c_in": 0.5, "i1": 1.0}, seed=0)
+    CrsConfig({"c_in": 0.5, "i1": 1.0, "i3": 0.5, "i12": 0.5}, seed=0)
     with pytest.raises(InvalidProbability):
         CrsConfig({"c_in": 0.0}, seed=0)
     with pytest.raises(InvalidProbability):
         CrsConfig({"i1": 1.5}, seed=0)
-    with pytest.raises(InvalidProbability):
-        CrsConfig({"pixels": 0.5}, seed=0)
+    for axis in ("pixels", "i0", "i01", "i", "i1 ", "I1", 1):
+        with pytest.raises(InvalidProbability):
+            CrsConfig({axis: 0.5}, seed=0)
 
 
 def test_axis_size(conv):
@@ -50,14 +50,19 @@ def test_axis_size(conv):
     with pytest.raises(Unsupported):
         axis_size(grouped, "i2")
     with pytest.raises(Unsupported):
+        axis_size(conv, "i3")
+    with pytest.raises(Unsupported):
         axis_size(conv, "bogus")
+    volume = ConvSpec(1, 1, 1, 1, (DimSpec(3, 2), DimSpec(4, 2), DimSpec(5, 2)))
+    assert [axis_size(volume, f"i{d}") for d in (1, 2, 3)] == [3, 4, 5]
 
 
 def test_keep_everything_is_exact(conv):
     x, v_y = data(conv)
     exact = weight_vjp(conv, x, v_y).weight
-    est = crs_weight_vjp(conv, x, v_y, CrsConfig({a: 1.0 for a in CRS_AXES}, seed=3))
-    assert est.kept_fraction == {a: 1.0 for a in CRS_AXES}
+    axes = ("c_in", "i1", "i2")
+    est = crs_weight_vjp(conv, x, v_y, CrsConfig({a: 1.0 for a in axes}, seed=3))
+    assert est.kept_fraction == {a: 1.0 for a in axes}
     assert np.allclose(est.weight, exact, atol=1e-12)
 
 
@@ -93,17 +98,20 @@ def test_channel_enumeration_is_unbiased(conv):
 
 
 def test_pixel_enumeration_is_unbiased():
-    conv = ConvSpec(1, 1, 1, 2, (DimSpec(3, 2),))
-    x, v_y = data(conv, seed=6)
-    exact = weight_vjp(conv, x, v_y).weight
-    p = 0.4
-    mean = np.zeros_like(exact)
-    for bits in itertools.product([False, True], repeat=3):
-        mask = np.array(bits)
-        prob = (p ** mask.sum()) * ((1 - p) ** (~mask).sum())
-        est = masked_weight_vjp(conv, x, v_y, {"i1": mask}, {"i1": p})
-        mean += prob * est
-    assert np.allclose(mean, exact, atol=1e-12)
+    for conv, axis in (
+        (ConvSpec(1, 1, 1, 2, (DimSpec(3, 2),)), "i1"),
+        (ConvSpec(2, 2, 2, 2, (DimSpec(3, 2), DimSpec(4, 2, 2), DimSpec(3, 2, 1, 1))), "i3"),
+    ):
+        x, v_y = data(conv, seed=6)
+        exact = weight_vjp(conv, x, v_y).weight
+        p = 0.4
+        mean = np.zeros_like(exact)
+        for bits in itertools.product([False, True], repeat=axis_size(conv, axis)):
+            mask = np.array(bits)
+            prob = (p ** mask.sum()) * ((1 - p) ** (~mask).sum())
+            est = masked_weight_vjp(conv, x, v_y, {axis: mask}, {axis: p})
+            mean += prob * est
+        assert np.allclose(mean, exact, atol=1e-12), axis
 
 
 def test_empty_mask_gives_zero(conv):

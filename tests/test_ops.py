@@ -61,8 +61,13 @@ def test_convspec_validation():
         ConvSpec(1, 2, 2, 3, (DimSpec(3, 2),))  # c_out not divisible
     with pytest.raises(InvalidHyperParams):
         ConvSpec(1, 1, 1, 1, ())
+    # hyper-parameters are integers, and a layer has at least one channel
+    for bad in ((1.5, 1, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0), (1, True, 1, 1), (1, 1, "2", 1)):
+        with pytest.raises(InvalidHyperParams):
+            ConvSpec(*bad, (DimSpec(3, 2),))
     with pytest.raises(InvalidHyperParams):
-        ConvSpec(1, 1, 1, 1, (DimSpec(3, 2),) * 3)
+        ConvSpec(1, 1, 1, 1, (DimSpec(3, 2),), has_bias="false")
+    assert ConvSpec(np.int64(2), 1, 1, 1, (DimSpec(3, 2),) * 4).nd == 4
 
 
 def test_pointwise_kernel_scales(small):
@@ -199,6 +204,9 @@ def test_run_op_rejects_unknown(small):
         run_op(small, "no_such_op", {})
     with pytest.raises(Unsupported):
         input_shapes(small, "no_such_op")
+    for nd in (0, -1):
+        with pytest.raises(Unsupported):
+            ops.equation("conv_forward", nd)
 
 
 def test_input_shapes_cover_all_ops(small):
@@ -251,7 +259,7 @@ def colliding_layers(draw):
     """Two layers equal but for stride, padding and dilation, with equal pattern shapes."""
     op = draw(st.sampled_from(OP_NAMES))
     dims_a, dims_b = [], []
-    for _ in range(draw(st.integers(1, 2))):
+    for _ in range(draw(st.integers(1, 3))):
         size, kernel = draw(st.integers(2, 7)), draw(st.integers(1, 3))
         options = [
             DimSpec(size, kernel, s, p, d)

@@ -5,12 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
+from conv_tn import ops
 from conv_tn.pattern import (
     BoundaryPixels,
     DimSpec,
     InvalidHyperParams,
     PatternKind,
-    averaged_pattern,
     boundary_pixel_free,
     classify,
     kernel_output_swap,
@@ -47,6 +47,10 @@ def test_dimspec_validation():
         DimSpec(3, 2, 1, 0, 0)
     with pytest.raises(InvalidHyperParams):
         DimSpec(2, 4)  # kernel span exceeds padded input
+    for bad in ((3.5, 2), (3, 2.0), (3, 2, True), (3, 2, 1, "1"), (3, 2, 1, 0, None)):
+        with pytest.raises(InvalidHyperParams, match="must be an integer"):
+            DimSpec(*bad)
+    assert DimSpec(np.int64(3), 2).input_size == 3
 
 
 def test_output_size_values():
@@ -110,19 +114,34 @@ def test_classify():
 
 
 def test_averaged_pattern():
-    single = averaged_pattern(DimSpec(2, 2))
+    single = pattern(DimSpec(2, 2)).ik
     assert np.array_equal(single, np.eye(2))
-    avg = averaged_pattern(DimSpec(3, 2))
+    avg = pattern(DimSpec(3, 2)).ik
     assert np.allclose(avg, [[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
+    assert np.allclose(pattern(DimSpec(3, 2)).ok, [[1 / 3, 1 / 3], [1 / 3, 1 / 3]])
 
 
 def test_averaged_pattern_mass():
     for dim in valid_dims(max_i=6):
         pat = pattern(dim)
-        avg = averaged_pattern(dim)
+        avg = pat.ik
         o_size = output_size(dim)
         assert np.allclose(avg.sum(), pat.nnz / o_size)
         assert (avg.sum(axis=1) <= dim.kernel_size / o_size + 1e-12).all()
+        assert np.allclose(pat.ok.sum(), pat.nnz / dim.input_size)
+
+
+def test_averaged_tables_are_computed_once_and_read_only():
+    dim = DimSpec(7, 3, 2, 1)
+    for legs, axis in (("ik", 1), ("ok", 0)):
+        first = getattr(pattern(dim), legs)
+        assert getattr(pattern(dim), legs) is first
+        assert ops._table(legs, dim) is first
+        assert not first.flags.writeable
+        assert first.base is pattern(dim).table.base  # one block per pattern
+        assert np.array_equal(first, pattern(dim).table.mean(axis=axis))
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
 
 
 def test_swap_self_dual_example():

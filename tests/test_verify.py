@@ -1,6 +1,10 @@
 """Verification harness internals."""
 
+import dataclasses
+import itertools
+
 import numpy as np
+import pytest
 
 from conv_tn import verify
 from conv_tn.ops import OP_NAMES, ConvSpec, input_shapes
@@ -39,17 +43,54 @@ def test_make_inputs_shapes():
             assert arrays[name].shape == shape, (op, name)
 
 
+# Small layers over one to three spatial dimensions: grouped, strided, padded, dilated.
+LAYERS = (
+    ConvSpec(2, 2, 4, 4, (DimSpec(5, 2, 2, 1), DimSpec(4, 2)), has_bias=True),
+    ConvSpec(2, 2, 4, 2, (DimSpec(5, 2, 2, 1), DimSpec(6, 2, 1, 0, 2), DimSpec(3, 2, 1, 1))),
+    ConvSpec(1, 1, 2, 3, (DimSpec(4, 3, 1, 2), DimSpec(3, 1, 2), DimSpec(5, 2, 3, 1, 2)), True),
+    ConvSpec(3, 1, 1, 2, (DimSpec(4, 2, 2), DimSpec(2, 2), DimSpec(6, 3, 2, 1, 2))),
+)
+
+
 def test_engine_matches_oracle_everywhere():
-    conv = ConvSpec(2, 2, 4, 4, (DimSpec(5, 2, 2, 1), DimSpec(4, 2)), has_bias=True)
     rng = np.random.default_rng(1)
-    for op in OP_NAMES:
-        if op == "unfold_kernel":
+    for conv, op, simplify in itertools.product(LAYERS, OP_NAMES, (False, True)):
+        if op == "unfold_kernel" and conv.groups != 1:
             continue  # undefined for grouped kernels
         arrays = make_inputs(conv, op, rng)
-        got = tn_run(conv, op, arrays)
+        got = tn_run(conv, op, arrays, simplify=simplify)
         want = oracle_run(conv, op, arrays)
         err = compare(want, got)
-        assert err <= 1e-12, (op, err)
+        assert err <= 1e-12, (conv, op, simplify, err)
+
+
+@pytest.mark.parametrize("simplify", [False, True])
+def test_four_dimensional_layer_matches_references(simplify):
+    # the unsimplified GGN networks have 4 + 2 * 4 = 12 operands, more than
+    # einsum.MAX_OPERANDS, so they are refused; simplified they have 4
+    dims = (DimSpec(3, 2), DimSpec(4, 2, 2), DimSpec(3, 1), DimSpec(4, 2, 1, 1))
+    report = run_verification([ConvSpec(2, 1, 2, 2, dims)], simplify=simplify)
+    assert report.passed
+    ggn = {"ggn_gram", "ggn_diagonal", "per_sample_ggn_diagonal"}
+    assert {r.op for r in report.reports if r.skipped} == (set() if simplify else ggn)
+
+
+def test_unit_third_dimension_gives_the_two_dimensional_result():
+    # a third dimension of size 1 with a 1-wide kernel changes no number
+    flat = ConvSpec(2, 2, 4, 2, (DimSpec(5, 3, 2, 1), DimSpec(4, 2, 1, 0, 2)), has_bias=True)
+    rng = np.random.default_rng(2)
+    for op in OP_NAMES:
+        conv = dataclasses.replace(flat, groups=1) if op == "unfold_kernel" else flat
+        deep = dataclasses.replace(conv, dims=conv.dims + (DimSpec(1, 1),))
+        arrays = make_inputs(conv, op, rng)
+        # every array but the unfolded v_u (and the bias) gains a trailing unit axis
+        lifted = {k: a if k in ("v_u", "b") else a[..., None] for k, a in arrays.items()}
+        for run in (oracle_run, tn_run):
+            want, got = run(conv, op, arrays), run(deep, op, lifted)
+            if not isinstance(want, tuple):
+                want, got = (want,), (got,)
+            for w, g in zip(want, got):
+                assert np.array_equal(g.reshape(w.shape), w), (op, run.__name__)
 
 
 def test_every_op_has_one_oracle():
