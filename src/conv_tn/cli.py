@@ -25,7 +25,7 @@ from importlib import resources
 import numpy as np
 
 from . import ops
-from .crs import CrsConfig, crs_weight_vjp, normalized_error
+from .crs import CrsConfig, axis_size, crs_weight_vjp, normalized_error
 from .ops import ConvSpec, OP_NAMES, op_cost
 from .pattern import DimSpec, classify, output_size, pattern
 from .tensor import Unsupported
@@ -241,6 +241,13 @@ def cmd_crs(args) -> int:
         keep_probs["i2"] = args.keep_i2
     if not keep_probs:
         raise ConfigError("give at least one of --keep-c-in/--keep-i1/--keep-i2")
+    # refuse the layer before the output file is opened, and so emptied
+    try:
+        CrsConfig(keep_probs)
+        for axis in keep_probs:
+            axis_size(conv, axis)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal((conv.batch, conv.c_in, *conv.input_sizes))
     v_y = rng.standard_normal((conv.batch, conv.c_out, *conv.out_sizes))

@@ -8,13 +8,34 @@ sizes multiply into a single tensor axis, row-major.  Example::
     n (g c_in) i1 i2, i1 o1 k1, (g c_out) c_in k1 k2 -> n (g c_out) o1 o2
 
 Execution never calls a library einsum.  A plan is an ordered list of
-pairwise steps; each step permutes, flattens, and batch-multiplies two
-operands.  The cost model is definitional: a step costs the product of the
-sizes of the union of its two operands' indices, counted in multiply-adds,
-and ``max_intermediate`` is the largest element count among step results
-that feed a later step (the output element count when there are none).
-There is one planner: an exact search over every binary contraction tree,
-by dynamic programming over operand subsets, for up to ten operands.
+pairwise steps, each one batched GEMM.  The cost model is definitional: a
+step costs the product of the sizes of the union of its two operands'
+indices, counted in multiply-adds, and ``max_intermediate`` is the largest
+element count among step results that feed a later step (the output element
+count when there are none).  There is one planner: an exact search over
+every binary contraction tree, by dynamic programming over operand subsets,
+for up to ten operands.
+
+The plan also fixes, from index orders and sizes alone, how each step lays
+out its operands and its result, so the executor only follows it: per
+operand the axes to sum first, one permutation, one reshape, and whether the
+GEMM reads it swapped.  An operand is taken to lie in memory in the order of
+its term (a step result in the order of its ``result``), and the rule is:
+
+* a step's result lists the shared indices, then the smaller one-sided
+  group (the GEMM's rows), then the larger one (its columns);
+* an operand enters as ``[batch][keep][contracted]`` or
+  ``[batch][contracted][keep]``, whichever its own order already is (unit
+  indices aside), so it is not copied; if neither, it is copied into the
+  one whose last group holds its innermost index, so the copy reads memory
+  in order.  Where that is not the GEMM's orientation for the operand, it
+  is read swapped, as the transposed view numpy's ``matmul`` takes without
+  a copy;
+* the contracted group takes one operand's order: the one under which
+  fewer elements are copied, the larger operand's on a tie.
+
+A strided window view from :mod:`.simplify` lists each kernel leg before its
+output leg, so its term order is the order a copy should read it in.
 """
 
 from __future__ import annotations
@@ -22,6 +43,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -217,37 +239,203 @@ def parse(
     return EinsumSpec(operand_terms, output_term, known)
 
 
+class Layout(NamedTuple):
+    """How a step reads one array, or how the last array becomes the output.
+
+    The axes in ``presum`` are summed away, the rest permuted by ``perm``
+    (None when the array is read in its own order) and reshaped to
+    ``shape``.  A ``swapped`` operand is handed to the GEMM as the transposed
+    view of its last two axes, which numpy's ``matmul`` reads without a copy.
+    """
+
+    presum: tuple[int, ...]
+    perm: tuple[int, ...] | None
+    shape: tuple[int, ...]
+    swapped: bool
+
+    def apply(self, arr: Tensor) -> Tensor:
+        if self.presum:
+            arr = arr.sum(axis=self.presum)
+        if self.perm is not None:
+            arr = arr.transpose(self.perm)
+        arr = arr.reshape(self.shape)
+        return arr.mT if self.swapped else arr
+
+
 @dataclass(frozen=True)
 class PlanStep:
+    """One pairwise contraction, a batched GEMM.
+
+    ``left`` and ``right`` number the operands and then the step results, in
+    order.  ``lhs`` reads the left one as ``(batch, rows, contracted)`` and
+    ``rhs`` the right one as ``(batch, contracted, columns)``; the product is
+    reshaped to ``shape``, one axis per index of ``result``.
+    """
+
     left: int
     right: int
     result: tuple[str, ...]
     flops: int
     size: int
+    lhs: Layout
+    rhs: Layout
+    shape: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class ContractionPlan:
+    """The steps in execution order, with their cost.
+
+    ``inputs`` holds each operand's shape and that shape with its grouped
+    axes split; ``output`` turns the last result (or the only operand) into
+    the output.
+    """
+
     steps: tuple[PlanStep, ...]
     flops: int
     max_intermediate: int
+    inputs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    output: Layout
 
 
 def _prod_sizes(sizes: dict[str, int], indices) -> int:
-    return math.prod(sizes[i] for i in indices)
+    return math.prod([sizes[i] for i in indices])
 
 
-def _result_order(left_idx, right_idx, surviving, order=None) -> tuple[str, ...]:
-    """Shared, then left-only, then right-only kept indices; ``order`` sorts each group."""
+def _result_order(sizes, left_idx, right_idx, surviving, order=None) -> tuple[str, ...]:
+    """The kept indices: shared, then those of one operand only, then those of the other.
+
+    ``order`` sorts each group and keeps the left operand's group first.
+    Without it the larger one-sided group goes last, as the GEMM's columns:
+    OpenBLAS writes a row-major output with few long rows faster than the
+    same product as many short rows (on one core, the 8192 x 288 x 32
+    product of a 3x3 convolution took 4.1 ms as 32 rows, 6.4 ms as 8192).
+    """
     lset, rset = set(left_idx), set(right_idx)
-    groups = (
-        [i for i in left_idx if i in rset and i in surviving],
+    shared = [i for i in left_idx if i in rset and i in surviving]
+    ones = [
         [i for i in left_idx if i not in rset and i in surviving],
         [i for i in right_idx if i not in lset and i in surviving],
-    )
+    ]
     if order is not None:
-        groups = (sorted(g, key=order.index) for g in groups)
-    return tuple(i for g in groups for i in g)
+        shared, *ones = (sorted(g, key=order.index) for g in (shared, *ones))
+    elif _prod_sizes(sizes, ones[0]) > _prod_sizes(sizes, ones[1]):
+        ones.reverse()
+    return tuple(shared + ones[0] + ones[1])
+
+
+def _layout(idx, big, dead, order, in_order, shape, swapped) -> Layout:
+    """Read an array over ``idx`` as ``order``, reshaped to ``shape``, once ``dead`` is summed.
+
+    Only the non-unit indices, those in ``big``, count: ``dead`` and
+    ``order`` list no unit index, and ``in_order`` says that ``order`` lists
+    them as ``idx`` does, so the reshape alone reads the array in ``order``.
+    A permutation puts the unit axes first; the reshape drops them.
+    """
+    perm = None
+    if not in_order:
+        rest = [i for a, i in enumerate(idx) if a not in dead]
+        perm = tuple([a for a, i in enumerate(rest) if i not in big] + [rest.index(i) for i in order])
+    return Layout(dead, perm, shape, swapped)
+
+
+def _step(sizes, left, left_idx, right, right_idx, result) -> PlanStep:
+    """The step contracting ``left`` and ``right`` into ``result``, with its operand layouts.
+
+    The GEMM's rows are the one-sided group that ``result`` lists first, so
+    the operand holding it becomes ``left``.  Each operand (an input, held
+    C-ordered in its term order, or a step result, in its ``result`` order)
+    enters as ``[batch][keep][contracted]`` or ``[batch][contracted][keep]``,
+    whichever is a reshape of its own order (unit indices aside), so nothing
+    is copied.  If neither is, it is copied into the one whose last group
+    holds its innermost index, so the copy walks memory forwards.  When that
+    is not the order the GEMM takes, the operand is read swapped.  The batch
+    and keep groups follow ``result``; the contracted group follows one
+    operand's order: the one under which fewer elements are copied, the
+    larger operand's on a tie.
+    """
+    lset, rset = set(left_idx), set(right_idx)
+    for i in result:
+        if i not in rset:
+            break
+        if i not in lset:
+            left, left_idx, lset, right, right_idx, rset = right, right_idx, rset, left, left_idx, lset
+            break
+    kept = set(result)
+    # unit indices never decide whether a reshape copies: the orders below omit them
+    big = {i for i in lset | rset if sizes[i] > 1}
+    batch = tuple([i for i in result if i in big and i in lset and i in rset])
+    lives = (
+        tuple([i for i in left_idx if i in big and (i in rset or i in kept)]),
+        tuple([i for i in right_idx if i in big and (i in lset or i in kept)]),
+    )
+    keeps = (
+        tuple([i for i in result if i in big and i not in rset]),
+        tuple([i for i in result if i in big and i not in lset]),
+    )
+    counts = (_prod_sizes(sizes, lives[0]), _prod_sizes(sizes, lives[1]))
+
+    best = None
+    for own in lives if counts[0] >= counts[1] else lives[::-1]:
+        contracted = tuple([i for i in own if i not in kept])
+        if best is not None and contracted == best[1]:
+            continue
+        ways, copied = [], 0
+        for s in (0, 1):
+            live, keep = lives[s], keeps[s]
+            # the order the GEMM takes first, then the swapped one, then a copy
+            if live == batch + (contracted + keep if s else keep + contracted):
+                ways.append((s == 1, False))
+            elif live == batch + (keep + contracted if s else contracted + keep):
+                ways.append((s != 1, False))
+            else:
+                inner = live[-1] if live else None
+                ways.append((inner in keep if inner in keep or inner in contracted else s == 1, True))
+                copied += counts[s]
+        if best is None or copied < best[0]:
+            best = (copied, contracted, ways)
+    _, contracted, ways = best
+
+    b, k = _prod_sizes(sizes, batch), _prod_sizes(sizes, contracted)
+    layouts = []
+    for s, (idx, other) in enumerate(((left_idx, rset), (right_idx, lset))):
+        keep, (keep_last, copied), m = keeps[s], ways[s], counts[s] // (b * k)
+        dead = tuple([a for a, i in enumerate(idx) if i in big and i not in other and i not in kept])
+        order = batch + contracted + keep if keep_last else batch + keep + contracted
+        shape = (b, k, m) if keep_last else (b, m, k)
+        layouts.append(_layout(idx, big, dead, order, not copied, shape, keep_last != (s == 1)))
+    shape = tuple([sizes[i] for i in result])
+    return PlanStep(left, right, result, _prod_sizes(sizes, lset | rset), math.prod(shape), *layouts, shape)
+
+
+def _build_plan(spec: EinsumSpec, pairs) -> ContractionPlan:
+    """The plan that runs ``pairs``, each ``(left, right, result)``, in order."""
+    sizes, idx = spec.sizes, list(spec.operand_indices)
+    steps = []
+    for left, right, result in pairs:
+        steps.append(_step(sizes, left, idx[left], right, idx[right], result))
+        idx.append(result)
+    last, out, out_shape = idx[-1], spec.output_indices, spec.output_shape()
+    big = {i for i in last if sizes[i] > 1}
+    dead = tuple(a for a, i in enumerate(last) if i in big and i not in out)
+    order = tuple(i for i in out if i in big)
+    in_order = order == tuple(i for i in last if i in big and i in out)
+    inputs = []
+    for term, flat in zip(spec.operand_terms, idx):
+        flat_shape = tuple([sizes[i] for i in flat])
+        if len(flat) > len(term):
+            term = [(a,) if isinstance(a, str) else a for a in term]
+            inputs.append((tuple([_prod_sizes(sizes, a) for a in term]), flat_shape))
+        else:
+            inputs.append((flat_shape, flat_shape))
+    fed = [s.size for s in steps[:-1]]
+    return ContractionPlan(
+        steps=tuple(steps),
+        flops=sum(s.flops for s in steps),
+        max_intermediate=max(fed, default=math.prod(out_shape)),
+        inputs=tuple(inputs),
+        output=_layout(last, big, dead, order, in_order, out_shape, False),
+    )
 
 
 def _plan_optimal(spec: EinsumSpec) -> ContractionPlan:
@@ -283,6 +471,8 @@ def _plan_optimal(spec: EinsumSpec) -> ContractionPlan:
         size_of[bits] = product
         return product
 
+    for bits in leaf:
+        size(bits)
     # per subset: flops, max fed intermediate, chosen first half
     flops, fed, split = [0] * (full + 1), [0] * (full + 1), [0] * (full + 1)
     for mask in range(3, full + 1):
@@ -297,15 +487,16 @@ def _plan_optimal(spec: EinsumSpec) -> ContractionPlan:
             rest = mask ^ sub
             base = flops[sub] + flops[rest]
             if base < best[0]:
-                both = enter[sub] | enter[rest]
-                step = size_of.get(both) or size(both)
+                # every entering index set is sized already: divide out the shared ones
+                a, b = enter[sub], enter[rest]
+                step = size_of[a] * size_of[b] // (size_of.get(a & b) or size(a & b))
                 cand = (base + step, max(fed[sub], fed[rest], res), sub)
                 if cand < best:
                     best = cand
             sub = (sub - 1) & others
         flops[mask], fed[mask], split[mask] = best
 
-    steps: list[PlanStep] = []
+    pairs: list[tuple[int, int, tuple[str, ...]]] = []
 
     def emit(mask: int) -> tuple[int, tuple[str, ...]]:
         if mask & (mask - 1) == 0:
@@ -318,19 +509,15 @@ def _plan_optimal(spec: EinsumSpec) -> ContractionPlan:
         # order: the closing permutation then copies longer contiguous runs, or nothing
         grows = _prod_sizes(sizes, kept) > max(_prod_sizes(sizes, idx) for idx in (idx_a, idx_b))
         order = spec.output_indices if mask == full and grows else None
-        result = _result_order(idx_a, idx_b, kept, order)
-        step_flops = _prod_sizes(sizes, set(idx_a) | set(idx_b))
-        steps.append(PlanStep(id_a, id_b, result, step_flops, _prod_sizes(sizes, result)))
-        return n + len(steps) - 1, result
+        pairs.append((id_a, id_b, _result_order(sizes, idx_a, idx_b, kept, order)))
+        return n + len(pairs) - 1, pairs[-1][2]
 
     emit(full)
-    feeding = [s.size for s in steps[:-1]]
-    max_inter = max(feeding, default=math.prod(spec.output_shape()))
-    return ContractionPlan(tuple(steps), flops[full], max_inter)
+    return _build_plan(spec, pairs)
 
 
 def plan(spec: EinsumSpec) -> ContractionPlan:
-    """The flop-optimal pairwise contraction order for ``spec``.
+    """The flop-optimal pairwise contraction order for ``spec``, with every step's layouts.
 
     Every network of 2 to ``MAX_OPERANDS`` operands gets the exact plan over
     all binary trees.  The search grows as 3^n, so a larger network raises
@@ -340,73 +527,23 @@ def plan(spec: EinsumSpec) -> ContractionPlan:
     if n > MAX_OPERANDS:
         raise Unsupported(f"{n} operands: exact planning stops at {MAX_OPERANDS}")
     if n == 1:
-        return ContractionPlan((), 0, math.prod(spec.output_shape()))
+        return _build_plan(spec, ())
     return _plan_optimal(spec)
 
 
-def _ungroup_operand(spec: EinsumSpec, pos: int, arr: Tensor) -> tuple[tuple[str, ...], Tensor]:
-    term = spec.operand_terms[pos]
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != len(term):
-        raise ShapeMismatch(
-            f"operand {pos}: ndim {arr.ndim} does not match term {term}"
-        )
-    flat_shape: list[int] = []
-    for atom, axis_len in zip(term, arr.shape):
-        if isinstance(atom, str):
-            expect = spec.sizes[atom]
-            if axis_len != expect:
-                raise ShapeMismatch(
-                    f"operand {pos}: axis {atom!r} is {axis_len}, expected {expect}"
-                )
-            flat_shape.append(expect)
-        else:
-            member_sizes = [spec.sizes[m] for m in atom]
-            if math.prod(member_sizes) != axis_len:
-                raise ShapeMismatch(
-                    f"operand {pos}: group {atom} expects axis {math.prod(member_sizes)},"
-                    f" got {axis_len}"
-                )
-            flat_shape.extend(member_sizes)
-    return _flatten(term), arr.reshape(flat_shape)
-
-
-def _pairwise(sizes, left_idx, left, right_idx, right, result):
-    """Contract two operands into the plan's layout ``result`` (see ``_result_order``)."""
-    lset, rset, surviving = set(left_idx), set(right_idx), set(result)
-
-    def presum(idx, arr, other, keep):
-        dead = [i for i in idx if i not in other and i not in keep]
-        if dead:
-            arr = arr.sum(axis=tuple(idx.index(d) for d in dead))
-            idx = tuple(i for i in idx if i not in dead)
-        return idx, arr
-
-    left_idx, left = presum(left_idx, left, rset, surviving)
-    right_idx, right = presum(right_idx, right, lset, surviving)
-
-    batch = [i for i in result if i in lset and i in rset]
-    contracted = [i for i in left_idx if i in rset and i not in surviving]
-    left_keep = [i for i in result if i not in rset]
-    right_keep = [i for i in result if i not in lset]
-    left = np.transpose(left, [left_idx.index(i) for i in batch + left_keep + contracted])
-    right = np.transpose(right, [right_idx.index(i) for i in batch + contracted + right_keep])
-    b = _prod_sizes(sizes, batch)
-    m = _prod_sizes(sizes, left_keep)
-    k = _prod_sizes(sizes, contracted)
-    n = _prod_sizes(sizes, right_keep)
-    lhs, rhs = left.reshape(b, m, k), right.reshape(b, k, n)
+def _product(step: PlanStep, left: Tensor, right: Tensor) -> Tensor:
+    lhs, rhs = step.lhs.apply(left), step.rhs.apply(right)
     # an outer product: numpy's matmul is several times slower here than broadcasting
-    out = lhs * rhs if k == 1 else np.matmul(lhs, rhs)
-    return out.reshape(tuple(sizes[i] for i in result))
+    out = lhs * rhs if lhs.shape[-1] == 1 else np.matmul(lhs, rhs)
+    return out.reshape(step.shape)
 
 
 def contract(spec: EinsumSpec, operands, plan_: ContractionPlan | None = None) -> Tensor:
     """Execute the contraction and return the grouped output tensor.
 
-    Operands are validated against the resolved index sizes.  Each step's
-    result takes the layout its ``PlanStep.result`` lists.  Any valid plan
-    over the same spec yields the same values.
+    Operands are checked against the plan's shapes.  Each step reads its
+    operands in the layouts the plan fixed, so execution decides nothing.
+    Any valid plan over the same spec yields the same values.
     """
     if len(operands) != len(spec.operand_terms):
         raise ShapeMismatch(
@@ -414,24 +551,18 @@ def contract(spec: EinsumSpec, operands, plan_: ContractionPlan | None = None) -
         )
     if plan_ is None:
         plan_ = plan(spec)
-    env: dict[int, tuple[tuple[str, ...], Tensor]] = {}
-    for pos, arr in enumerate(operands):
-        env[pos] = _ungroup_operand(spec, pos, arr)
-
+    env: dict[int, Tensor] = {}
+    for pos, (arr, (shape, flat)) in enumerate(zip(operands, plan_.inputs)):
+        arr = np.asarray(arr, dtype=np.float64)
+        if arr.shape != shape:
+            raise ShapeMismatch(
+                f"operand {pos}: shape {arr.shape} does not fit term"
+                f" {spec.operand_terms[pos]}, which needs {shape}"
+            )
+        env[pos] = arr.reshape(flat)
     for next_id, step in enumerate(plan_.steps, len(operands)):
-        left_idx, left = env.pop(step.left)
-        right_idx, right = env.pop(step.right)
-        res = _pairwise(spec.sizes, left_idx, left, right_idx, right, step.result)
-        env[next_id] = (step.result, res)
-
-    out_flat = spec.output_indices
-    ((last_idx, last),) = env.values()
-    extra = [i for i in last_idx if i not in out_flat]
-    if extra:
-        last = last.sum(axis=tuple(last_idx.index(i) for i in extra))
-        last_idx = tuple(i for i in last_idx if i not in extra)
-    if last_idx != out_flat:
-        last = np.transpose(last, [last_idx.index(i) for i in out_flat])
-    out = last.reshape(spec.output_shape())
+        env[next_id] = _product(step, env.pop(step.left), env.pop(step.right))
+    (last,) = env.values()
+    out = plan_.output.apply(last)
     # ascontiguousarray would silently promote a 0-d result to shape (1,)
     return np.ascontiguousarray(out) if out.ndim else out

@@ -7,9 +7,12 @@ exactly one other occurrence, the pattern need not be multiplied as a dense
 
 * **Gather.**  The other occurrence is a bare axis of a data operand.  That
   operand is read as a strided view whose axis ``i`` becomes the two axes
-  ``(o, k)`` (stride ``S``, dilation ``D``) over a copy zero-padded by ``P``,
-  or over the operand itself when ``P == 0``.  This is im2col; the dense
-  (reshape) and down-sampling (narrow) patterns are its zero-copy cases.
+  ``(k, o)`` (dilation ``D``, stride ``S``) over a copy zero-padded by ``P``,
+  or over the operand itself when ``P == 0``.  The output leg comes last:
+  it is the long leg that sweeps the whole axis, so a copy that reads the
+  view in its term order walks memory forwards in long runs.  This is
+  im2col; the dense (reshape) and down-sampling (narrow) patterns are its
+  zero-copy cases.
 * **Fold.**  The other occurrence is the output.  The contraction produces
   ``(o, k)`` in place of ``i`` (only ``o`` when no other operand carries
   ``k``), and :class:`Fold` writes it back with one strided slice-add per
@@ -53,7 +56,7 @@ class Gather:
     ``padded`` is the zero-padded shape (None when no gathered axis is
     padded) and ``interior`` the slice of it the operand fills; ``shape``
     and ``strides`` describe the view, in which every gathered axis ``i``
-    is the pair ``(o, k)`` reading ``x_padded[..., o*S + k*D, ...]``.
+    is the pair ``(k, o)`` reading ``x_padded[..., k*D + o*S, ...]``.
     """
 
     in_shape: tuple[int, ...]
@@ -75,8 +78,8 @@ class Gather:
                 shape.append(n)
                 strides.append(st)
             else:
-                shape += [output_size(d), d.kernel_size]
-                strides += [d.stride * st, d.dilation * st]
+                shape += [d.kernel_size, output_size(d)]
+                strides += [d.dilation * st, d.stride * st]
         interior = tuple(slice(pads.get(a, 0), pads.get(a, 0) + n) for a, n in enumerate(in_shape))
         return cls(tuple(in_shape), base if pads else None, interior, tuple(shape), tuple(strides))
 
@@ -267,11 +270,11 @@ def simplify_structure(
                 continue
             gathered.setdefault(target, {})[spec.operand_terms[target].index(i_name)] = dim
             a_pos = terms[target].index(i_name)
-            terms[target][a_pos : a_pos + 1] = [o_name, k_name]
+            terms[target][a_pos : a_pos + 1] = [k_name, o_name]
             kind = RewriteKind.GATHER
             detail = (
                 f"pattern {dim} removed; axis {i_name} of operand {target} read as"
-                f" strided windows ({o_name} {k_name})"
+                f" strided windows ({k_name} {o_name})"
             )
         else:
             other_names = names_of(others)

@@ -139,6 +139,21 @@ def test_bench_refused_config_keeps_the_output_file(tmp_path, capsys, argv):
     assert target.read_text() == "earlier results\n"
 
 
+@pytest.mark.parametrize("keep", [("--keep-i2", "0.5"), ("--keep-i1", "1.5")])
+def test_crs_refused_layer_keeps_the_output_file(tmp_path, capsys, keep):
+    # a 1d layer has no i2, and no probability exceeds 1
+    layer = {"name": "line", "batch": 1, "c_in": 2, "c_out": 2, "dims": [{"i": 6, "k": 3}]}
+    (tmp_path / "line.json").write_text(json.dumps(layer))
+    target = tmp_path / "results.csv"
+    target.write_text("earlier results\n")
+    code, _, err = run(
+        capsys, "crs", "--config", str(tmp_path / "line.json"), *keep, "--seeds", "1",
+        "--output", str(target),
+    )
+    assert code == 2 and err.startswith("error:")
+    assert target.read_text() == "earlier results\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

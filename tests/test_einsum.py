@@ -14,11 +14,10 @@ from conv_tn import ops
 from conv_tn.cli import load_layers
 from conv_tn.einsum import (
     MAX_OPERANDS,
-    ContractionPlan,
     ParseError,
-    PlanStep,
     SizeConflict,
     UnderdeterminedGroup,
+    _build_plan,
     _result_order,
     contract,
     make_spec,
@@ -93,15 +92,13 @@ def left_deep_plan(spec):
     """Contract the operands in order, each into the running result."""
     out = set(spec.output_indices)
     ops_idx = spec.operand_indices
-    steps, left, acc = [], 0, ops_idx[0]
+    pairs, left, acc = [], 0, ops_idx[0]
     for pos in range(1, len(ops_idx)):
         later = {i for t in ops_idx[pos + 1 :] for i in t}
-        result = _result_order(acc, ops_idx[pos], out | later)
-        flops = math.prod(spec.sizes[i] for i in set(acc) | set(ops_idx[pos]))
-        steps.append(PlanStep(left, pos, result, flops, math.prod(spec.sizes[i] for i in result)))
-        left, acc = len(ops_idx) + len(steps) - 1, result
-    fed = max((s.size for s in steps[:-1]), default=math.prod(spec.output_shape()))
-    return ContractionPlan(tuple(steps), sum(s.flops for s in steps), fed)
+        result = _result_order(spec.sizes, acc, ops_idx[pos], out | later)
+        pairs.append((left, pos, result))
+        left, acc = len(ops_idx) + len(pairs) - 1, result
+    return _build_plan(spec, pairs)
 
 
 def chain_spec(n_ops):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conv_tn import einsum
-from conv_tn.ops import OP_NAMES, ConvSpec, input_shapes, op_cost, run_op
+from conv_tn.ops import OP_NAMES, ConvSpec, build_network, input_shapes, op_cost, run_op
 from conv_tn.pattern import DimSpec, output_size, pattern
 from conv_tn.simplify import RewriteKind, simplify_structure
 from conv_tn.tensor import ShapeMismatch, Unsupported, max_rel_err
@@ -182,3 +182,37 @@ def test_hesscale_input_diag_plans_as_input_vjp_on_a_resnet50_layer():
     for got, want in ((hess.base, vjp.base), (hess.simplified, vjp.simplified)):
         assert (got.flops, got.max_intermediate) == (want.flops, want.max_intermediate)
     assert len(hess.rewrites) == conv.nd
+
+
+@pytest.mark.parametrize("op", ["conv_forward", "weight_vjp"])
+@pytest.mark.parametrize(
+    "conv",
+    [
+        ConvSpec(2, 1, 3, 4, (DimSpec(6, 3, 1, 1), DimSpec(5, 3, 1, 1))),  # padded 3x3
+        ConvSpec(2, 1, 3, 4, (DimSpec(12, 3, 1, 0, 2),)),  # 1d, dilation 2 > stride 1
+    ],
+)
+def test_gather_layouts_read_memory_in_order(conv, op):
+    # the plan fixes layouts from index orders; this pins them, not their timing
+    net = build_network(conv, op)
+    spec = einsum.parse(net.equation, [a.shape for a in net.operands], sizes=net.seeds)
+    sim = simplify_structure(spec, net.roles)
+    assert set(sim.gathers) == {0}
+    x_idx, other_idx = sim.spec.operand_indices
+    for d in range(1, conv.nd + 1):
+        assert x_idx.index(f"k{d}") < x_idx.index(f"o{d}")  # the term lists k before o
+    (step,) = einsum.plan(sim.spec).steps
+    layouts = {step.left: step.lhs, step.right: step.rhs}
+    # the gathered operand is copied with its output legs innermost, also
+    # where the GEMM then reads it swapped (weight_vjp contracts them)
+    x_layout = layouts[0]
+    assert x_layout.perm is not None
+    out_legs = tuple(f"o{d + 1}" for d in range(conv.nd))
+    assert tuple(x_idx[a] for a in x_layout.perm)[-conv.nd :] == out_legs
+    if op == "conv_forward":
+        # the C-contiguous weight already lies as the GEMM reads it: no copy
+        w_layout = layouts[1]
+        assert w_layout.perm is None and not w_layout.presum
+        w = np.arange(float(math.prod(sim.spec.sizes[i] for i in other_idx)))
+        view = w_layout.apply(w.reshape([sim.spec.sizes[i] for i in other_idx]))
+        assert np.shares_memory(view, w)

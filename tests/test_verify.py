@@ -44,11 +44,18 @@ def test_make_inputs_shapes():
 
 
 # Small layers over one to three spatial dimensions: grouped, strided, padded, dilated.
+# In the last four, GEMMs read swapped operands that have unit axes: depthwise
+# (one channel per group), c_out = 1 with 1x1 kernels and batch 1, and a single
+# output pixel in 2d and in 1d.
 LAYERS = (
     ConvSpec(2, 2, 4, 4, (DimSpec(5, 2, 2, 1), DimSpec(4, 2)), has_bias=True),
     ConvSpec(2, 2, 4, 2, (DimSpec(5, 2, 2, 1), DimSpec(6, 2, 1, 0, 2), DimSpec(3, 2, 1, 1))),
     ConvSpec(1, 1, 2, 3, (DimSpec(4, 3, 1, 2), DimSpec(3, 1, 2), DimSpec(5, 2, 3, 1, 2)), True),
     ConvSpec(3, 1, 1, 2, (DimSpec(4, 2, 2), DimSpec(2, 2), DimSpec(6, 3, 2, 1, 2))),
+    ConvSpec(2, 3, 3, 3, (DimSpec(5, 3, 1, 1), DimSpec(4, 2))),
+    ConvSpec(1, 1, 3, 1, (DimSpec(4, 1), DimSpec(3, 1, 2))),
+    ConvSpec(2, 1, 2, 3, (DimSpec(3, 3), DimSpec(4, 4))),
+    ConvSpec(1, 2, 2, 2, (DimSpec(3, 3),)),
 )
 
 
