@@ -383,3 +383,21 @@ def test_seven_operand_chain_gets_the_exact_plan():
     rng = np.random.default_rng(3)
     operands = [rng.standard_normal((2, 2)) for _ in range(7)]
     assert max_rel_err(contract(spec, operands), naive_contract(spec, operands)) <= 1e-12
+
+
+class _NoMatrixTranspose(np.ndarray):
+    """An array without ``mT``, which NumPy adds only in 2.0."""
+
+    @property
+    def mT(self):
+        raise AttributeError("mT")
+
+
+def test_swapped_operand_reads_on_numpy_1():
+    # pyproject allows numpy>=1.24, so a swapped layout may use no NumPy 2 attribute
+    spec = parse("ji,jk->ik", [(3, 4), (3, 5)])
+    (step,) = plan(spec).steps
+    assert step.lhs.swapped and step.lhs.perm is None
+    a = np.random.default_rng(2).standard_normal((3, 4))
+    view = step.lhs.apply(a.view(_NoMatrixTranspose))
+    assert np.shares_memory(view, a) and np.array_equal(view, a.T[None])
