@@ -146,6 +146,7 @@ def cmd_flops(args) -> int:
                     "layer": name,
                     "op": op,
                     "equation": costs.equation,
+                    "output_elements": costs.output_elements,
                     "unsimplified": {
                         "flops": costs.base.flops,
                         "max_intermediate": costs.base.max_intermediate,

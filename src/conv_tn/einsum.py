@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -521,6 +521,24 @@ def plan(spec: EinsumSpec) -> ContractionPlan:
     if n == 1:
         return _build_plan(spec, ())
     return _plan_optimal(spec)
+
+
+def in_result_order(spec: EinsumSpec, plan_: ContractionPlan) -> tuple[EinsumSpec, ContractionPlan]:
+    """``spec`` with its output in the order ``plan_`` leaves it in, and its plan.
+
+    That order is the last step's result, or the only operand's own order
+    less its summed indices, so the returned plan ends without a copy.  It
+    is the plan ``plan`` makes for the returned spec, found without a
+    second search.
+    """
+    if plan_.steps:
+        order = plan_.steps[-1].result
+    else:
+        out = set(spec.output_indices)
+        order = tuple(i for i in spec.operand_indices[0] if i in out)
+    spec = make_spec(spec.operand_terms, order, spec.sizes)
+    output = Layout(plan_.output.presum, None, spec.output_shape(), False)
+    return spec, replace(plan_, output=output)
 
 
 def _product(step: PlanStep, left: Tensor, right: Tensor) -> Tensor:

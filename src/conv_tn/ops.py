@@ -111,10 +111,17 @@ class Network:
 
 @dataclass
 class OpCosts:
+    """The plans of one op with and without rewrites.
+
+    ``output_elements`` counts the op's result, which a plan's
+    ``max_intermediate`` leaves out once the plan has a step.
+    """
+
     equation: str
     base: einsum.ContractionPlan
     simplified: einsum.ContractionPlan
     rewrites: tuple[RewriteStep, ...]
+    output_elements: int
 
 
 class _Op(NamedTuple):
@@ -332,7 +339,7 @@ def _prepare(key, make_net, use_simplify: bool) -> _Prepared:
         net = make_net()
         spec = einsum.parse(net.equation, [a.shape for a in net.operands], sizes=net.seeds)
         sim = simplify_structure(spec, net.roles) if use_simplify else None
-        hit = _Prepared(net, spec, sim, einsum.plan(sim.spec if sim is not None else spec))
+        hit = _Prepared(net, spec, sim, sim.plan if sim is not None else einsum.plan(spec))
         if len(_PREP_CACHE) >= 4096:
             _PREP_CACHE.clear()
         _PREP_CACHE[key] = hit
@@ -384,7 +391,8 @@ def run_op(
 def op_cost(conv: ConvSpec, op: str, *, columns: int = 2) -> OpCosts:
     """The plans of ``op`` with and without pattern rewrites."""
     base, simplified = (_planned(conv, op, columns, s) for s in (False, True))
-    return OpCosts(base.net.equation, base.plan, simplified.plan, simplified.sim.steps)
+    size = math.prod(base.spec.output_shape())
+    return OpCosts(base.net.equation, base.plan, simplified.plan, simplified.sim.steps, size)
 
 
 def _wrapper(op: str):

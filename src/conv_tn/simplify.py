@@ -17,10 +17,14 @@ exactly one other occurrence, the pattern need not be multiplied as a dense
   ``(o, k)`` in place of ``i`` (only ``o`` when no other operand carries
   ``k``), and :class:`Fold` writes it back with one strided slice-add per
   kernel offset, or a plain assignment when ``k`` is an output leg.
+* **Diagonal fold.**  The output also holds ``o``, and ``k`` sits on exactly
+  one data operand: the unfolded kernel (Toeplitz matrix).  The contraction
+  produces ``k`` in place of ``(o, i)``, and :class:`Fold` assigns each
+  kernel offset's slice, broadcast over ``o``, to the output's strided
+  diagonal view where ``i == o*S + k*D - P``.
 
-Patterns whose input leg meets another pattern or several tensors, and
-patterns whose output leg lands in the output, are left alone, so
-rewriting never changes values.
+Patterns whose input leg meets another pattern or several tensors are left
+alone, so rewriting never changes values.
 """
 
 from __future__ import annotations
@@ -49,6 +53,11 @@ class RewriteStep:
     detail: str
 
 
+def _c_strides(shape) -> list[int]:
+    """The byte strides of a C-ordered float64 array of ``shape``."""
+    return [8 * math.prod(shape[a + 1 :]) for a in range(len(shape))]
+
+
 @dataclass(frozen=True)
 class Gather:
     """Read one operand as the strided view of every kernel window.
@@ -71,8 +80,7 @@ class Gather:
         base = tuple(n + 2 * pads.get(a, 0) for a, n in enumerate(in_shape))
         shape: list[int] = []
         strides: list[int] = []
-        c_strides = [8 * math.prod(base[a + 1 :]) for a in range(len(base))]  # float64, C order
-        for a, (n, st) in enumerate(zip(base, c_strides)):
+        for a, (n, st) in enumerate(zip(base, _c_strides(base))):
             d = axes.get(a)
             if d is None:
                 shape.append(n)
@@ -98,40 +106,39 @@ class Gather:
 class _FoldStage:
     """Fold some legs of ``z`` into a fresh array of ``shape``.
 
-    ``view_axes`` orders that array's axes to match ``z``'s, and ``writes``
-    holds, per kernel offset, the index into that view and into ``z`` (one
-    axis per index name) of the in-range outputs.
+    ``writes`` holds, per kernel offset combination, the view of that array
+    it writes, as a byte offset, shape and strides whose axes follow
+    ``z``'s, and the index into ``z`` (one axis per index name) it reads.
     """
 
     z_shape: tuple[int, ...]
     shape: tuple[int, ...]
-    view_axes: tuple[int, ...]
-    writes: tuple[tuple[tuple, tuple], ...]
+    writes: tuple[tuple[tuple[int, tuple[int, ...], tuple[int, ...]], tuple], ...]
     accumulate: bool
 
     def apply(self, z: Tensor) -> Tensor:
         z = z.reshape(self.z_shape)
         out = np.zeros(self.shape)
-        view = out.transpose(self.view_axes)
-        if self.accumulate:
-            for dst, src in self.writes:
-                view[dst] += z[src]
-        else:
-            for dst, src in self.writes:
-                view[dst] = z[src]
+        for (offset, shape, strides), src in self.writes:
+            view = np.ndarray(shape, np.float64, out, offset, strides)
+            if self.accumulate:
+                view += z[src]
+            else:
+                view[...] = z[src]
         return out
 
 
 @dataclass(frozen=True)
 class Fold:
-    """Write the contraction's ``(o, k)`` legs back to positions ``i = o*S + k*D - P``.
+    """Write the contraction's legs back to positions ``i = o*S + k*D - P``.
 
     The contraction result is read in the axis order its last step leaves
     it in, so no transpose copies it.  Each fold that sums its kernel leg is
     its own stage of ``K`` slice-adds, which costs fewer calls than one
-    slice-add per offset combination; the folds that keep their kernel leg
-    share one final stage of assignments, since each output entry is
-    written at most once and an intermediate would be output-sized.
+    slice-add per offset combination.  The folds that write each output
+    entry at most once, those that keep their kernel leg and the diagonal
+    ones, share one final stage of assignments, since an intermediate would
+    be output-sized.
     """
 
     stages: tuple[_FoldStage, ...]
@@ -151,14 +158,24 @@ class _FoldDim:
     dim: DimSpec
     k_in_result: bool
     k_in_output: bool
+    diagonal: bool  # o stays in the output: the result's k leg goes along the (o, i) diagonal
+
+    @property
+    def once(self) -> bool:
+        """Whether each output entry is written at most once."""
+        return self.k_in_output or self.diagonal
 
 
-def _fold_writes(folds, view_names, z_names):
-    """Per kernel offset combination, the (view, result) index pair it writes."""
+def _fold_writes(folds, z_names, names, sizes):
+    """Per kernel offset combination, the view of a C-ordered array over
+    ``names`` that it writes and the index into the result over ``z_names``
+    that it reads."""
+    stride = dict(zip(names, _c_strides([sizes[x] for x in names])))
     writes = []
     for offsets in itertools.product(*(range(f.dim.kernel_size) for f in folds)):
-        dst: list = [slice(None)] * len(view_names)
-        src: list = [slice(None)] * len(z_names)
+        offset = 0
+        axes = {x: (sizes[x], stride[x]) for x in z_names if x in stride}
+        src = {x: slice(None) for x in z_names}
         for f, k in zip(folds, offsets):
             d = f.dim
             shift = k * d.dilation - d.padding
@@ -166,40 +183,45 @@ def _fold_writes(folds, view_names, z_names):
             hi = min(output_size(d), (d.input_size - 1 - shift) // d.stride + 1)
             if lo >= hi:
                 break
-            start = lo * d.stride + shift
-            dst[view_names.index(f.i)] = slice(start, start + (hi - lo - 1) * d.stride + 1, d.stride)
-            src[z_names.index(f.o)] = slice(lo, hi)
+            offset += (lo * d.stride + shift) * stride[f.i]
+            if f.diagonal:
+                # out[o, o*S + shift] for o in [lo, hi), all from z's entry at k
+                offset += lo * stride[f.o]
+                axes[f.k] = (hi - lo, stride[f.o] + d.stride * stride[f.i])
+                src[f.k] = slice(k, k + 1)
+                continue
+            axes[f.o] = (hi - lo, d.stride * stride[f.i])
+            src[f.o] = slice(lo, hi)
             if f.k_in_result:
-                src[z_names.index(f.k)] = k
+                src[f.k] = k
             if f.k_in_output:
-                dst[view_names.index(f.k)] = k
+                offset += k * stride[f.k]
         else:
-            writes.append((tuple(dst), tuple(src)))
+            shape, strides = zip(*(axes[x] for x in z_names if x in axes))
+            writes.append(((offset, shape, strides), tuple(src[x] for x in z_names)))
     return tuple(writes)
 
 
-def _fold(folds, spec: einsum.EinsumSpec, new_spec: einsum.EinsumSpec) -> Fold:
-    """The fold from the result of ``new_spec`` to the output of ``spec``."""
-    keep = [f for f in folds if f.k_in_output]
-    groups = [[f] for f in folds if not f.k_in_output] + ([keep] if keep else [])
-    z_names = new_spec.output_indices
+def _fold(folds, spec: einsum.EinsumSpec, z_names) -> Fold:
+    """The fold from a contraction result over ``z_names`` to the output of ``spec``."""
+    keep = [f for f in folds if f.once]
+    groups = [[f] for f in folds if not f.once] + ([keep] if keep else [])
     stages = []
     for n, group in enumerate(groups):
-        to_input = {f.o: f.i for f in group}
-        summed = {f.k for f in group if f.k_in_result}
-        view_names = [to_input.get(x, x) for x in z_names if x not in summed]
-        view_names += [f.k for f in group if f.k_in_output]
-        names = spec.output_indices if n == len(groups) - 1 else view_names
+        if n < len(groups) - 1:
+            (f,) = group
+            names = tuple(f.i if x == f.o else x for x in z_names if x != f.k)
+        else:
+            names = spec.output_indices
         stages.append(
             _FoldStage(
                 z_shape=tuple(spec.sizes[x] for x in z_names),
                 shape=tuple(spec.sizes[x] for x in names),
-                view_axes=tuple(names.index(x) for x in view_names),
-                writes=_fold_writes(group, view_names, z_names),
+                writes=_fold_writes(group, z_names, names, spec.sizes),
                 accumulate=group is not keep,
             )
         )
-        z_names = tuple(view_names)
+        z_names = names
     return Fold(tuple(stages), spec.output_shape())
 
 
@@ -207,12 +229,13 @@ def _fold(folds, spec: einsum.EinsumSpec, new_spec: einsum.EinsumSpec) -> Fold:
 class SimplifyResult:
     """Outcome of the structural pass, applicable to any matching operands.
 
-    ``apply`` turns the network's operands into those of ``spec``; when
-    ``fold`` is set, ``fold.apply`` turns the contraction of ``spec`` into
-    the network's output.
+    ``apply`` turns the network's operands into those of ``spec``, which
+    ``plan`` contracts; when ``fold`` is set, ``fold.apply`` turns that
+    contraction into the network's output.
     """
 
     spec: einsum.EinsumSpec
+    plan: einsum.ContractionPlan
     steps: tuple[RewriteStep, ...]
     kept: tuple[int, ...]
     gathers: dict[int, Gather]
@@ -278,38 +301,53 @@ def simplify_structure(
             )
         else:
             other_names = names_of(others)
-            k_elsewhere = k_name in other_names
+            k_holders = [p for p in others if k_name in names_of([p])]
             k_in_output = k_name in out_names
-            if o_name in out_names or o_name not in other_names:
-                continue
-            if k_elsewhere and k_in_output:
-                continue
-            legs = [o_name, k_name] if k_elsewhere else [o_name]
             a_pos = out_names.index(i_name)
-            out_names[a_pos : a_pos + 1] = legs
-            if k_in_output:
-                out_names.remove(k_name)
-            folds.append(_FoldDim(i_name, o_name, k_name, dim, k_elsewhere, k_in_output))
-            kind = RewriteKind.FOLD
-            detail = (
-                f"pattern {dim} removed; output leg {i_name} produced as"
-                f" ({' '.join(legs)}) and folded back"
+            diagonal = o_name in out_names
+            if diagonal:
+                # both legs stay: the one data operand carrying k is written
+                # along the output's (o, i) diagonal
+                if (
+                    o_name in other_names
+                    or k_in_output
+                    or len(k_holders) != 1
+                    or k_holders[0] in pattern_roles
+                ):
+                    continue
+                out_names[a_pos] = k_name
+                out_names.remove(o_name)
+                detail = (
+                    f"pattern {dim} removed; leg {k_name} of operand {k_holders[0]}"
+                    f" written along the ({o_name} {i_name}) diagonal"
+                )
+            else:
+                if o_name not in other_names or (k_holders and k_in_output):
+                    continue
+                legs = [o_name, k_name] if k_holders else [o_name]
+                out_names[a_pos : a_pos + 1] = legs
+                if k_in_output:
+                    out_names.remove(k_name)
+                detail = (
+                    f"pattern {dim} removed; output leg {i_name} produced as"
+                    f" ({' '.join(legs)}) and folded back"
+                )
+            folds.append(
+                _FoldDim(i_name, o_name, k_name, dim, bool(k_holders), k_in_output, diagonal)
             )
+            kind = RewriteKind.FOLD
         alive.remove(pos)
         steps.append(RewriteStep(kind, pos, detail))
 
     new_terms = tuple(tuple(terms[p]) for p in alive)
-    output = spec.output_term
-    if folds:
-        # Fold reads the result in the order the contraction leaves it in
-        # (the last step's layout, or the operand's own), so none is copied.
-        trial = einsum.make_spec(new_terms, tuple(out_names), spec.sizes)
-        last = einsum.plan(trial).steps
-        output = last[-1].result if last else tuple(
-            n for n in trial.operand_indices[0] if n in out_names
-        )
+    output = tuple(out_names) if folds else spec.output_term
     new_spec = einsum.make_spec(new_terms, output, spec.sizes)
-    fold = _fold(folds, spec, new_spec) if folds else None
+    plan = einsum.plan(new_spec)
+    fold = None
+    if folds:
+        # Fold reads the result in the order the contraction leaves it in, so none is copied
+        new_spec, plan = einsum.in_result_order(new_spec, plan)
+        fold = _fold(folds, spec, new_spec.output_indices)
     gathers = {}
     for target, axes in gathered.items():
         in_shape = tuple(
@@ -317,4 +355,4 @@ def simplify_structure(
             for atom in spec.operand_terms[target]
         )
         gathers[target] = Gather.build(in_shape, axes)
-    return SimplifyResult(new_spec, tuple(steps), tuple(alive), gathers, fold)
+    return SimplifyResult(new_spec, plan, tuple(steps), tuple(alive), gathers, fold)

@@ -1,6 +1,7 @@
 """Command line entry points."""
 
 import json
+import math
 import re
 from importlib import resources
 
@@ -192,8 +193,13 @@ def test_flops_json(capsys):
     rows = json.loads(out)
     assert rows
     first = rows[0]
-    assert {"layer", "op", "equation", "unsimplified", "simplified", "rewrites"} <= set(first)
+    keys = {"layer", "op", "equation", "output_elements", "unsimplified", "simplified", "rewrites"}
+    assert keys <= set(first)
     assert first["unsimplified"]["flops"] >= first["simplified"]["flops"]
+    layers = dict(load_layers(None))
+    for row in rows:  # the output y has shape (batch, c_out, *out_sizes)
+        conv = layers[row["layer"]]
+        assert row["output_elements"] == conv.batch * conv.c_out * math.prod(conv.out_sizes)
 
 
 def test_bench_csv_header(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Structural rewrites that shrink pattern contractions."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,17 +26,21 @@ LAYERS = (DENSE, DOWN, MIXED, GENERAL, PADDED, DILATED, GROUPED, DANGLING)
 
 # One pattern against one data operand: the input leg is gathered from the
 # operand, or lands in the output with the kernel leg summed, kept in the
-# output, or carried by the data operand.
+# output, or carried by the data operand; or the input and output legs both
+# land in the output and the operand carries the kernel leg (the Toeplitz
+# matrix of unfold_kernel).
 PATTERN_EQUATIONS = (
     ("i o k, i -> o k", "i"),
     ("i o k, o -> i", "o"),
     ("i o k, o -> k i", "o"),
     ("i o k, o k -> i", "o k"),
+    ("i o k, k -> o i", "k"),
+    ("i o k, c k -> c o i", "c k"),
 )
 
 
 def _sizes(dim, legs):
-    known = {"i": dim.input_size, "o": output_size(dim), "k": dim.kernel_size}
+    known = {"i": dim.input_size, "o": output_size(dim), "k": dim.kernel_size, "c": 3}
     return tuple(known[leg] for leg in legs.split())
 
 
@@ -56,7 +62,8 @@ def assert_rewrites_exact_and_cheaper(dim, seed=0):
         assert 0 not in result.kept, equation
         kind = RewriteKind.GATHER if legs == "i" else RewriteKind.FOLD
         assert [s.kind for s in result.steps] == [kind], equation
-        assert einsum.plan(result.spec).flops < einsum.plan(spec).flops, equation
+        assert result.plan == einsum.plan(result.spec), equation
+        assert result.plan.flops < einsum.plan(spec).flops, equation
 
 
 def test_dense_rewrite_preserves_values():
@@ -68,7 +75,13 @@ def test_downsample_rewrite_is_a_gather_or_fold():
 
 
 def test_general_pattern_rewritten():
-    for dim in (DimSpec(5, 2), DimSpec(6, 3, 1, 1), DimSpec(9, 3, 2, 1, 2), DimSpec(9, 2, 3, 1, 2)):
+    # the last dimension pads wider than its input: kernel offsets 0, 1, 3
+    # and 4 of its only output read nothing but padding
+    dims = (
+        DimSpec(5, 2), DimSpec(6, 3, 1, 1), DimSpec(9, 3, 2, 1, 2), DimSpec(9, 2, 3, 1, 2),
+        DimSpec(1, 5, 1, 2),
+    )
+    for dim in dims:
         assert_rewrites_exact_and_cheaper(dim, seed=2)
 
 
@@ -104,6 +117,64 @@ def test_rewrites_preserve_op_values(conv, op):
     fancy = run_op(conv, op, arrays, simplify=True)
     assert fancy.shape == plain.shape
     assert max_rel_err(fancy, plain) <= 1e-12
+    if op == "unfold_kernel":  # each Toeplitz entry is one weight, copied or summed with zeros
+        assert np.array_equal(fancy, plain)
+
+
+@pytest.mark.parametrize("conv", LAYERS)
+def test_each_network_is_planned_once(conv, monkeypatch):
+    # the rewrites hand their plan through: it is the one einsum.plan makes
+    # for the rewritten spec, and no other plan is searched for
+    calls = []
+    plan = einsum.plan
+    monkeypatch.setattr(einsum, "plan", lambda spec: calls.append(spec) or plan(spec))
+    for op in OP_NAMES:
+        if op == "unfold_kernel" and conv.groups != 1:
+            continue
+        net = build_network(conv, op)
+        spec = einsum.parse(net.equation, [a.shape for a in net.operands], sizes=net.seeds)
+        calls.clear()
+        sim = simplify_structure(spec, net.roles)
+        assert len(calls) == 1, op
+        assert sim.plan == plan(sim.spec), op
+
+
+# A digest, per op, of its rewrite kinds and simplified plan on every layer of
+# LAYERS, as the planner and rewrites made them before the diagonal fold
+# existed: that rewrite fires for unfold_kernel alone and changes no other plan.
+PLAN_DIGESTS = {
+    "conv_forward": "b5b4c0b44e18803e",
+    "unfold_input": "321cca93794ba645",
+    "fold_output": "69c869fd041710c0",
+    "transpose_unfold": "685780deee607927",
+    "weight_vjp": "21a9ac5c8f500312",
+    "per_sample_weight_vjp": "ea29ece6c9125665",
+    "input_vjp": "2d7df40fd0d7127a",
+    "weight_jvp": "b5b4c0b44e18803e",
+    "input_jvp": "b5b4c0b44e18803e",
+    "im2col_jvp": "321cca93794ba645",
+    "im2col_vjp": "8b23ef992460c324",
+    "kfac_expand_factor": "1b3e7488078c7a5a",
+    "kfac_reduce_factor": "269e37a6a8da3710",
+    "kfac_expand_transpose": "b3d4ff840903c214",
+    "kfac_reduce_transpose": "654063f6f01cca86",
+    "ggn_gram": "9d75829f33a8013c",
+    "ggn_diagonal": "67333ffba1a6d5ea",
+    "per_sample_ggn_diagonal": "88b361c5731b9fc6",
+    "hesscale_weight_diag": "21a9ac5c8f500312",
+    "per_sample_hesscale_weight_diag": "ea29ece6c9125665",
+    "hesscale_input_diag": "2d7df40fd0d7127a",
+}
+
+
+def test_other_ops_keep_their_rewrites_and_plans():
+    assert set(PLAN_DIGESTS) == set(OP_NAMES) - {"unfold_kernel"}
+    for op, digest in PLAN_DIGESTS.items():
+        h = hashlib.sha256()
+        for conv in LAYERS:
+            costs = op_cost(conv, op)
+            h.update(repr(([s.kind.value for s in costs.rewrites], costs.simplified)).encode())
+        assert h.hexdigest()[:16] == digest, op
 
 
 # Each HesScale op, its first-order op, and the array it squares.
@@ -169,7 +240,8 @@ def test_realistic_plans_are_the_im2col_gemm(conv):
         conv.batch * conv.c_out * (conv.c_in // conv.groups)
         * math.prod(conv.kernel_sizes) * math.prod(conv.out_sizes)
     )
-    for op in GEMM_OPS + MOVE_OPS:
+    # unfold_kernel is defined for groups == 1 only
+    for op in GEMM_OPS + MOVE_OPS + (("unfold_kernel",) if conv.groups == 1 else ()):
         costs = op_cost(conv, op)
         assert len(costs.rewrites) == conv.nd, op  # every pattern operand is gone
         assert costs.simplified.flops == (gemm if op in GEMM_OPS else 0), op
@@ -182,6 +254,23 @@ def test_hesscale_input_diag_plans_as_input_vjp_on_a_resnet50_layer():
     for got, want in ((hess.base, vjp.base), (hess.simplified, vjp.simplified)):
         assert (got.flops, got.max_intermediate) == (want.flops, want.max_intermediate)
     assert len(hess.rewrites) == conv.nd
+
+
+def test_unfold_kernel_reports_its_toeplitz_size_without_allocating_it():
+    # the same ResNet-50 layer: the Toeplitz matrix has (64 * 56 * 56)^2 = 200,704^2
+    # entries (322 GB); the simplified plan holds only the weight
+    conv = ConvSpec(32, 1, 64, 64, (DimSpec(56, 3, 1, 1),) * 2)
+    tracemalloc.start()
+    try:
+        costs = op_cost(conv, "unfold_kernel")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert costs.output_elements == 200_704**2
+    assert [s.kind for s in costs.rewrites] == [RewriteKind.FOLD] * conv.nd
+    assert costs.simplified.flops == 0
+    assert costs.simplified.max_intermediate == 64 * 64 * 3 * 3  # the weight
 
 
 @pytest.mark.parametrize("op", ["conv_forward", "weight_vjp"])
