@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``verify``   run every operation against its loop-based reference
-* ``flops``    report contraction cost with and without pattern rewrites
+* ``flops``    report contraction cost with and without pattern rewrites,
+  and of the mirrored evaluation that runs in place of a curvature network
 * ``pattern``  print one index pattern as JSON
 * ``bench``    time engine vs reference, CSV output
 * ``crs``      sampled weight-gradient error sweep, CSV output
@@ -156,6 +157,10 @@ def cmd_flops(args) -> int:
                         "max_intermediate": costs.simplified.max_intermediate,
                     },
                     "rewrites": [step.kind.name.lower() for step in costs.rewrites],
+                    "mirrored": {
+                        "unsimplified": costs.mirrored_base and costs.mirrored_base._asdict(),
+                        "simplified": costs.mirrored and costs.mirrored._asdict(),
+                    },
                 }
             )
     stream = _out_stream(args)
@@ -220,8 +225,7 @@ def cmd_bench(args) -> int:
             for variant, simplify in (("tn", False), ("tn_simplified", True)):
                 tn_run(conv, op, arrays, simplify=simplify)  # warm the plan cache
                 secs = _time_call(lambda: tn_run(conv, op, arrays, simplify=simplify), args.repeats)
-                cost = costs.simplified if simplify else costs.base
-                writer.writerow([name, op, variant, f"{secs:.6e}", cost.flops, cost.max_intermediate])
+                writer.writerow([name, op, variant, f"{secs:.6e}", *costs.ran(simplify)])
             writer.writerow([name, op, "oracle", f"{oracle_secs:.6e}", "", ""])
     finally:
         if stream is not sys.stdout:

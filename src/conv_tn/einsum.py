@@ -53,7 +53,8 @@ Atom = str | tuple[str, ...]
 
 # the exact planner's search grows as 3^n.  Unsimplified, the KFAC-expand and
 # GGN networks over nd spatial dimensions have 2 + 2nd and 4 + 2nd operands, so
-# a GGN network fits up to 3d (10) and is refused in 4d (12); simplified it has 4
+# a full GGN network fits up to 3d (10) and is refused in 4d (12); its half, which
+# ops contracts once and then squares, has 2 + nd (6 in 4d); simplified it has 4
 MAX_OPERANDS = 10
 
 

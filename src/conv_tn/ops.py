@@ -98,6 +98,8 @@ class Network:
 
     ``sources`` names, per operand, the input array it holds (``x^2`` for
     the square of ``x``) or the ``(legs, DimSpec)`` of its pattern table.
+    Operands with equal sources must hold equal arrays: a network whose two
+    halves hold the same sources may be contracted as one half and its Gram.
     """
 
     op: str
@@ -109,12 +111,27 @@ class Network:
     sources: tuple = ()
 
 
+class MirrorCost(NamedTuple):
+    """The cost of contracting a mirrored network as one half, then its Gram or square."""
+
+    half_flops: int
+    final_flops: int
+    max_intermediate: int  # the larger of V and the largest array the half's plan feeds on
+
+    @property
+    def flops(self) -> int:
+        return self.half_flops + self.final_flops
+
+
 @dataclass
 class OpCosts:
-    """The plans of one op with and without rewrites.
+    """The plans of one op's full network with and without rewrites.
 
     ``output_elements`` counts the op's result, which a plan's
     ``max_intermediate`` leaves out once the plan has a step.
+    ``mirrored_base`` and ``mirrored`` are the mirrored evaluations that run
+    in place of ``base`` and ``simplified``, or None where the full network
+    runs.
     """
 
     equation: str
@@ -122,6 +139,13 @@ class OpCosts:
     simplified: einsum.ContractionPlan
     rewrites: tuple[RewriteStep, ...]
     output_elements: int
+    mirrored_base: MirrorCost | None = None
+    mirrored: MirrorCost | None = None
+
+    def ran(self, simplify: bool) -> tuple[int, int]:
+        """FLOPs and largest intermediate of the evaluation ``run_op`` runs."""
+        plan, mirror = (self.simplified, self.mirrored) if simplify else (self.base, self.mirrored_base)
+        return (mirror.flops, mirror.max_intermediate) if mirror else (plan.flops, plan.max_intermediate)
 
 
 class _Op(NamedTuple):
@@ -317,11 +341,134 @@ def build_network(
     return net
 
 
-class _Prepared(NamedTuple):
-    net: Network  # the network it was planned from, with zero placeholders as operands
+class _Contraction(NamedTuple):
+    """A planned network: its spec, its rewrites (None without them) and the plan that runs."""
+
     spec: einsum.EinsumSpec
     sim: SimplifyResult | None
     plan: einsum.ContractionPlan
+
+    @property
+    def kept(self):
+        """The positions of the operands the contraction reads."""
+        return self.sim.kept if self.sim is not None else range(len(self.spec.operand_terms))
+
+    def run(self, operands) -> Tensor:
+        if self.sim is None:
+            return einsum.contract(self.spec, operands, self.plan)
+        out = einsum.contract(self.sim.spec, self.sim.apply(operands), self.plan)
+        return out if self.sim.fold is None else self.sim.fold.apply(out)
+
+
+def _contraction(spec: einsum.EinsumSpec, roles: dict, use_simplify: bool) -> _Contraction:
+    if use_simplify:
+        sim = simplify_structure(spec, roles)
+        return _Contraction(spec, sim, sim.plan)
+    return _Contraction(spec, None, einsum.plan(spec))
+
+
+# numpy's matmul of one buffer by its own transpose calls syrk, which halves the
+# multiply-adds but then fills the other triangle with a strided rows x rows
+# copy.  On one BLAS thread (2-core Xeon) gemm on a copy of the buffer is faster
+# below about 48 contracted elements at 64 rows and 200 at 1568 rows: rows 288,
+# 2 contracted: 0.104 ms against 0.042 ms; rows 1568, 2: 11.5 against 2.7 ms;
+# rows 288, 512: 0.99 against 1.92 ms.
+_SYRK_MIN_CONTRACTED = 128
+
+
+class _Mirror(NamedTuple):
+    """A network that is two copies of one half joined on the indices they share.
+
+    ``half`` contracts the first half of the operands into V, which lists
+    the shared output indices, the half's own output indices and the shared
+    summed indices.  ``spec`` and ``plan`` contract V with its renamed copy
+    into the output.  When ``shared`` is set that step reads V's buffer
+    twice, which numpy's matmul turns into syrk; otherwise it reads a copy.
+    """
+
+    half: _Contraction
+    spec: einsum.EinsumSpec
+    plan: einsum.ContractionPlan
+    shared: bool
+
+    @property
+    def kept(self):
+        return self.half.kept
+
+    @property
+    def cost(self) -> MirrorCost:
+        v = math.prod(self.half.spec.output_shape())
+        return MirrorCost(
+            self.half.plan.flops, self.plan.flops, max(self.half.plan.max_intermediate, v)
+        )
+
+    def run(self, operands) -> Tensor:
+        v = self.half.run(operands[: len(self.half.spec.operand_terms)])
+        return einsum.contract(self.spec, (v, v if self.shared else v.copy()), self.plan)
+
+
+def _renaming(spec: einsum.EinsumSpec, sources: tuple) -> dict[str, str] | None:
+    """The index renaming that maps the first half of ``spec``'s operands onto the second.
+
+    It exists when both halves hold the same sources, its fixed points are
+    exactly the indices the halves share, and swapping the halves' indices
+    maps the output onto itself.  Otherwise None.
+    """
+    h = len(sources) // 2
+    if len(sources) != 2 * h or not h or sources[:h] != sources[h:]:
+        return None
+    rename: dict[str, str] = {}
+    # each half reads its arrays in its terms' flat index orders
+    for a, b in zip(spec.operand_indices[:h], spec.operand_indices[h:]):
+        if len(a) != len(b):
+            return None
+        for i, j in zip(a, b):
+            if rename.setdefault(i, j) != j or spec.sizes[i] != spec.sizes[j]:
+                return None
+    second = set(rename.values())
+    if len(second) != len(rename) or {i for i, j in rename.items() if i == j} != second & rename.keys():
+        return None
+    swap = {j: i for i, j in rename.items()} | rename
+    out = spec.output_indices
+    return rename if {swap[i] for i in out} == set(out) else None
+
+
+def _mirror(net: Network, spec: einsum.EinsumSpec, use_simplify: bool) -> _Mirror | None:
+    """``net`` planned as one half and the Gram or square of its result, if it is mirrored."""
+    rename = _renaming(spec, net.sources)
+    if rename is None:
+        return None
+    h = len(net.sources) // 2
+    out = spec.output_indices
+    rows = [i for i in out if rename.get(i, i) != i]
+    summed = [i for i, j in rename.items() if i == j and i not in out]
+    v = [i for i in out if rename.get(i) == i] + rows + summed
+    try:
+        half = _contraction(
+            einsum.make_spec(spec.operand_terms[:h], v, spec.sizes),
+            {p: d for p, d in net.roles.items() if p < h},
+            use_simplify,
+        )
+        final = einsum.make_spec((tuple(v), tuple(rename[i] for i in v)), spec.output_term, spec.sizes)
+        plan = einsum.plan(final)
+    except Unsupported:
+        return None
+    # one row per group is a batched dot product, which never reaches syrk
+    shared = math.prod(spec.sizes[i] for i in rows) == 1 or (
+        math.prod(spec.sizes[i] for i in summed) >= _SYRK_MIN_CONTRACTED
+    )
+    return _Mirror(half, final, plan, shared)
+
+
+class _Prepared(NamedTuple):
+    net: Network  # the network it was planned from, with zero placeholders as operands
+    spec: einsum.EinsumSpec
+    full: _Contraction | None  # None when the mirror was chosen without planning the full network
+    mirror: _Mirror | None  # set when it runs in place of the full network
+
+    @property
+    def chosen(self) -> _Contraction | _Mirror:
+        return self.mirror or self.full
 
 
 _PREP_CACHE: dict = {}
@@ -329,6 +476,12 @@ _PREP_CACHE: dict = {}
 
 def _prepare(key, make_net, use_simplify: bool) -> _Prepared:
     """Parse, rewrite and plan the network ``make_net()``, cached under ``key``.
+
+    A mirrored network is also planned as one half and the Gram or square
+    of its result, which runs when it plans no more FLOPs than the full
+    network, or when the full network cannot be planned.  The full network
+    is not planned when the half's result holds no more elements than the
+    half's data operands.
 
     The key holds everything that decides the result; the rewrites depend
     on the patterns' hyper-parameters, not only on their shapes.  The cache
@@ -338,12 +491,41 @@ def _prepare(key, make_net, use_simplify: bool) -> _Prepared:
     if hit is None:
         net = make_net()
         spec = einsum.parse(net.equation, [a.shape for a in net.operands], sizes=net.seeds)
-        sim = simplify_structure(spec, net.roles) if use_simplify else None
-        hit = _Prepared(net, spec, sim, sim.plan if sim is not None else einsum.plan(spec))
+        mirror, full = _mirror(net, spec, use_simplify), None
+        if mirror is None or not _surely_cheaper(mirror, net):
+            try:
+                full = _contraction(spec, net.roles, use_simplify)
+            except Unsupported:
+                if mirror is None:
+                    raise
+            if full is not None and mirror is not None and mirror.cost.flops > full.plan.flops:
+                mirror = None
+        hit = _Prepared(net, spec, full, mirror)
         if len(_PREP_CACHE) >= 4096:
             _PREP_CACHE.clear()
         _PREP_CACHE[key] = hit
     return hit
+
+
+def _surely_cheaper(mirror: _Mirror, net: Network) -> bool:
+    """Whether V holds no more elements than the half's data operands.
+
+    The full plan is then taken to cost at least the mirror's; on every
+    curvature network of the bundled layers and the benchmark workloads it
+    does.
+    """
+    h = len(mirror.half.spec.operand_terms)
+    data = sum(
+        math.prod(a.shape) for a, src in zip(net.operands[:h], net.sources) if isinstance(src, str)
+    )
+    return math.prod(mirror.half.spec.output_shape()) <= data
+
+
+def _full(prep: _Prepared, use_simplify: bool) -> _Contraction:
+    """The full network's contraction, planned now if ``_prepare`` skipped it."""
+    if prep.full is not None:
+        return prep.full
+    return _contraction(prep.spec, prep.net.roles, use_simplify)
 
 
 def _planned(conv: ConvSpec, op: str, columns: int, use_simplify: bool) -> _Prepared:
@@ -354,12 +536,7 @@ def _planned(conv: ConvSpec, op: str, columns: int, use_simplify: bool) -> _Prep
 
 
 def _contract(prep: _Prepared, operands, scale: float | None) -> Tensor:
-    if prep.sim is None:
-        out = einsum.contract(prep.spec, operands, prep.plan)
-    else:
-        out = einsum.contract(prep.sim.spec, prep.sim.apply(operands), prep.plan)
-        if prep.sim.fold is not None:
-            out = prep.sim.fold.apply(out)
+    out = prep.chosen.run(operands)
     return out if scale is None else out * scale
 
 
@@ -371,7 +548,8 @@ def execute(net: Network, use_simplify: bool = False) -> Tensor:
     def shape_only() -> Network:  # the cache keeps the operands' shapes, not their data
         return replace(net, operands=[np.broadcast_to(0.0, shape) for shape in shapes])
 
-    prep = _prepare((net.equation, shapes, seeds, roles, use_simplify), shape_only, use_simplify)
+    key = (net.equation, shapes, seeds, roles, net.sources, use_simplify)
+    prep = _prepare(key, shape_only, use_simplify)
     return _contract(prep, net.operands, net.scale)
 
 
@@ -384,15 +562,22 @@ def run_op(
 ) -> Tensor:
     """Contract ``op``'s network over ``arrays``, exactly the arrays ``op`` names."""
     prep = _planned(conv, op, _columns(op, arrays), simplify)
-    keep = prep.sim.kept if prep.sim is not None else range(len(prep.net.sources))
-    return _contract(prep, _operands(prep.net, arrays, keep), prep.net.scale)
+    return _contract(prep, _operands(prep.net, arrays, prep.chosen.kept), prep.net.scale)
 
 
 def op_cost(conv: ConvSpec, op: str, *, columns: int = 2) -> OpCosts:
-    """The plans of ``op`` with and without pattern rewrites."""
+    """The full networks' plans with and without pattern rewrites, and the mirrored evaluations."""
     base, simplified = (_planned(conv, op, columns, s) for s in (False, True))
-    size = math.prod(base.spec.output_shape())
-    return OpCosts(base.net.equation, base.plan, simplified.plan, simplified.sim.steps, size)
+    full = _full(simplified, True)
+    return OpCosts(
+        base.net.equation,
+        _full(base, False).plan,
+        full.plan,
+        full.sim.steps,
+        math.prod(base.spec.output_shape()),
+        base.mirror and base.mirror.cost,
+        simplified.mirror and simplified.mirror.cost,
+    )
 
 
 def _wrapper(op: str):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conv_tn.cli import ConfigError, load_layers, main
-from conv_tn.ops import ConvSpec
+from conv_tn.ops import ConvSpec, op_cost
 from conv_tn.pattern import DimSpec
 from conv_tn.verify import run_verification
 
@@ -200,6 +200,42 @@ def test_flops_json(capsys):
     for row in rows:  # the output y has shape (batch, c_out, *out_sizes)
         conv = layers[row["layer"]]
         assert row["output_elements"] == conv.batch * conv.c_out * math.prod(conv.out_sizes)
+
+
+def test_flops_reports_the_mirrored_evaluation(capsys):
+    code, out, _ = run(capsys, "flops", "--op", "ggn_gram", "--op", "conv_forward")
+    assert code == 0
+    rows = json.loads(out)
+    mirrored = 0
+    for row in rows:
+        assert set(row["mirrored"]) == {"unsimplified", "simplified"}
+        if row["op"] == "conv_forward":
+            assert row["mirrored"] == {"unsimplified": None, "simplified": None}
+            continue
+        for key, mirror in row["mirrored"].items():
+            if mirror is None:  # the full network plans fewer FLOPs
+                continue
+            mirrored += 1
+            assert set(mirror) == {"half_flops", "final_flops", "max_intermediate"}
+            assert mirror["half_flops"] + mirror["final_flops"] <= row[key]["flops"]
+    # most GGN Gram matrices, with and without rewrites, run as one half and its Gram
+    assert mirrored > sum(row["op"] == "ggn_gram" for row in rows)
+
+
+def test_bench_writes_the_flops_of_the_evaluation_it_timed(tmp_path, capsys):
+    layer = {"name": "tiny", "batch": 2, "groups": 1, "c_in": 2, "c_out": 3, "dims": [{"i": 6, "k": 3}]}
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps([layer]))
+    code, out, _ = run(
+        capsys, "bench", "--config", str(path), "--op", "kfac_expand_factor", "--repeats", "1"
+    )
+    assert code == 0
+    flops = {line.split(",")[2]: int(line.split(",")[4] or 0) for line in out.strip().splitlines()[1:]}
+    (_, conv), = load_layers(str(path))
+    costs = op_cost(conv, "kfac_expand_factor")
+    assert costs.mirrored is not None and costs.mirrored_base is not None
+    assert flops["tn"] == costs.mirrored_base.flops < costs.base.flops
+    assert flops["tn_simplified"] == costs.mirrored.flops <= costs.simplified.flops
 
 
 def test_bench_csv_header(tmp_path, capsys):

@@ -1,0 +1,181 @@
+"""Mirrored networks: one half contracted once, then its Gram or square."""
+
+import dataclasses
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conv_tn import einsum, ops
+from conv_tn.cli import load_layers
+from conv_tn.ops import OP_NAMES, ConvSpec, op_cost, run_op
+from conv_tn.pattern import DimSpec, output_size, pattern
+from conv_tn.tensor import Unsupported
+from conv_tn.verify import compare, make_inputs, oracle_run
+
+CURVATURE = (
+    "kfac_expand_factor",
+    "kfac_reduce_factor",
+    "kfac_expand_transpose",
+    "kfac_reduce_transpose",
+    "ggn_gram",
+    "ggn_diagonal",
+    "per_sample_ggn_diagonal",
+)
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+
+# 1d to 3d, each ungrouped and grouped
+LAYERS = (
+    ConvSpec(2, 1, 2, 3, (DimSpec(6, 3, 1, 1, 2),)),
+    ConvSpec(2, 2, 4, 2, (DimSpec(7, 2, 2, 1),)),
+    ConvSpec(2, 1, 2, 3, (DimSpec(5, 2, 1, 1), DimSpec(4, 2, 2))),
+    ConvSpec(3, 2, 2, 4, (DimSpec(5, 3, 2, 1), DimSpec(4, 2))),
+    ConvSpec(2, 1, 1, 2, (DimSpec(3, 2), DimSpec(4, 2, 2, 1), DimSpec(3, 1))),
+    ConvSpec(2, 2, 2, 2, (DimSpec(4, 2, 1, 1), DimSpec(3, 2), DimSpec(3, 2, 1, 0, 2))),
+)
+
+
+def _mirrored(conv, op, arrays, simplify):
+    """``op``'s value through its mirrored evaluation, chosen or not; None if it has none."""
+    prep = ops._planned(conv, op, ops._columns(op, arrays), simplify)
+    mirror = ops._mirror(prep.net, prep.spec, simplify)
+    if mirror is None:
+        return None
+    operands = ops._operands(prep.net, arrays, mirror.kept)
+    return ops._contract(prep._replace(mirror=mirror), operands, prep.net.scale)
+
+
+@pytest.mark.parametrize("simplify", [False, True])
+@pytest.mark.parametrize("conv", LAYERS)
+def test_mirror_fires_on_exactly_the_curvature_ops(conv, simplify):
+    rng = np.random.default_rng(11)
+    for op in OP_NAMES:
+        if op == "unfold_kernel" and conv.groups != 1:
+            continue
+        arrays = make_inputs(conv, op, rng)
+        got = _mirrored(conv, op, arrays, simplify)
+        assert (got is not None) == (op in CURVATURE), op
+        if got is not None:
+            assert compare(got, oracle_run(conv, op, arrays)) <= 1e-12, op
+        else:
+            costs = op_cost(conv, op)
+            assert costs.mirrored is None and costs.mirrored_base is None, op
+
+
+def _network(dims):
+    conv = ConvSpec(2, 1, 2, 3, dims)
+    x = np.random.default_rng(0).standard_normal(ops.input_shapes(conv, "kfac_expand_factor")["x"])
+    return ops.build_network(conv, "kfac_expand_factor", {"x": x})
+
+
+def _spec(net):
+    return einsum.parse(net.equation, [a.shape for a in net.operands], sizes=net.seeds)
+
+
+def _unmirrored(net):
+    """``net`` contracted as one network, with nothing known of its operands' sources."""
+    return ops.execute(dataclasses.replace(net, sources=()))
+
+
+def test_mirror_is_refused_when_the_halves_differ_in_one_dimspec():
+    # both dims have I = 6, K = 2, O = 3, with different patterns
+    strided, dilated = DimSpec(6, 2, 2), DimSpec(6, 2, 1, 0, 3)
+    assert output_size(strided) == output_size(dilated)
+    net = _network((strided, strided))
+    assert ops._renaming(_spec(net), net.sources) is not None
+    last = len(net.sources) - 1  # the second half's last pattern
+    sources = net.sources[:last] + (("iok", dilated),)
+    odd = dataclasses.replace(
+        net,
+        operands=net.operands[:last] + [pattern(dilated).table],
+        roles={**net.roles, last: dilated},
+        sources=sources,
+    )
+    assert ops._renaming(_spec(odd), odd.sources) is None
+    got = ops.execute(odd)
+    assert compare(got, _unmirrored(odd)) <= 1e-12
+    assert compare(got, ops.execute(net)) > 1e-3  # the two networks do differ
+
+
+def test_mirror_is_refused_when_the_output_is_not_symmetric():
+    net = _network((DimSpec(5, 2), DimSpec(4, 2, 1, 1)))
+    lhs, _ = net.equation.split(" -> ")
+    for out in ("g (c_in k1 k2) c_in_", "g (c_in k1 k2) (c_in_ k1_)", "g (c_in k1 k2) n"):
+        lopsided = dataclasses.replace(net, equation=f"{lhs} -> {out}")
+        assert ops._renaming(_spec(lopsided), lopsided.sources) is None, out
+        assert compare(ops.execute(lopsided), _unmirrored(lopsided)) <= 1e-12, out
+    assert ops._renaming(_spec(net), net.sources) is not None
+    assert compare(ops.execute(net), _unmirrored(net)) <= 1e-12
+
+
+def test_mirror_needs_a_size_preserving_renaming_that_fixes_the_shared_indices():
+    x = np.random.default_rng(2).standard_normal((3, 3))
+    same = ops.Network("custom", "a b, a b ->", [x, x], {}, {}, sources=("x", "x"))
+    assert ops._renaming(_spec(same), same.sources) == {"a": "a", "b": "b"}
+    assert np.isclose(ops.execute(same), np.sum(x * x), atol=1e-12)
+    # a and b are shared but swapped: the value is tr(x @ x), not (sum x)^2
+    crossed = dataclasses.replace(same, equation="a b, b a ->")
+    assert ops._renaming(_spec(crossed), crossed.sources) is None
+    assert np.isclose(ops.execute(crossed), np.trace(x @ x), atol=1e-12)
+    # one flat array of 6 read as (a b) = 2 x 3 and as (c d) = 3 x 2
+    flat = x[:2].reshape(6)
+    regrouped = ops.Network(
+        "custom", "(a b), (c d) -> (a b) (c d)", [flat, flat], {}, {"a": 2, "c": 3}, sources=("x", "x")
+    )
+    assert ops._renaming(_spec(regrouped), regrouped.sources) is None
+    assert np.array_equal(ops.execute(regrouped), np.outer(flat, flat))
+
+
+@pytest.mark.parametrize("op", ["ggn_gram", "ggn_diagonal", "per_sample_ggn_diagonal", "kfac_expand_factor"])
+def test_four_dimensional_curvature_without_rewrites(op):
+    # the full GGN networks have 4 + 2 * 4 = 12 operands, which the planner refuses
+    conv = ConvSpec(2, 1, 2, 2, (DimSpec(4, 2),) * 4)
+    net = ops.build_network(conv, op)
+    if op.startswith("ggn"):
+        with pytest.raises(Unsupported):
+            einsum.plan(_spec(net))
+    prep = ops._planned(conv, op, 2, False)
+    assert prep.mirror is not None
+    assert len(prep.mirror.half.spec.operand_terms) == len(net.operands) // 2
+    arrays = make_inputs(conv, op, np.random.default_rng(3))
+    assert compare(run_op(conv, op, arrays), oracle_run(conv, op, arrays)) <= 1e-12
+
+
+def _curvature_layers():
+    layers = dict(load_layers(None))
+    for name in ("fixtures_all_ops", "medium_curvature", "realistic_first_order"):
+        for layer, conv in load_layers(str(WORKLOADS / f"{name}.json")):
+            layers.setdefault(f"{name}/{layer}", conv)
+    return layers
+
+
+def test_chosen_evaluation_never_plans_more_than_the_full_network():
+    # the full network is planned here even where _prepare skips it
+    for name, conv in _curvature_layers().items():
+        for op in CURVATURE:
+            for simplify in (False, True):
+                prep = ops._planned(conv, op, 2, simplify)
+                full = ops._contraction(prep.spec, prep.net.roles, simplify).plan.flops
+                chosen = prep.mirror.cost.flops if prep.mirror else prep.full.plan.flops
+                assert chosen <= full, (name, op, simplify)
+                flops, _ = op_cost(conv, op).ran(simplify)
+                assert flops == chosen, (name, op, simplify)
+
+
+def test_kfac_expand_transpose_is_the_gram_of_transpose_unfold():
+    conv = ConvSpec(2, 1, 2, 3, (DimSpec(5, 2, 1, 1), DimSpec(4, 3, 1, 1)))
+    arrays = make_inputs(conv, "kfac_expand_transpose", np.random.default_rng(5))
+    prep = ops._planned(conv, "kfac_expand_transpose", 2, True)
+    assert prep.mirror is not None
+    # the half is transpose_unfold: its pattern is folded away, and V is (g, c_out k, n i)
+    half = prep.mirror.half
+    assert [s.kind.value for s in half.sim.steps] == ["fold"] * conv.nd
+    assert half.spec.output_indices[:2] == ("g", "c_out")
+    unfolded = ops.transpose_unfold(conv, arrays["y"], simplify=True)
+    n_i = conv.batch * math.prod(conv.input_sizes)
+    cols = unfolded.reshape(conv.batch, conv.c_out * math.prod(conv.kernel_sizes), -1)
+    rows = cols.transpose(1, 0, 2).reshape(-1, n_i)
+    want = rows @ rows.T / conv.batch
+    got = run_op(conv, "kfac_expand_transpose", arrays, simplify=True)
+    assert compare(got.reshape(want.shape), want) <= 1e-12
