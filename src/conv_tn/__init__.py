@@ -33,9 +33,7 @@ from .oracle import (
     direct_conv,
     direct_transpose_unfold,
     direct_unfold,
-    finite_difference_vjp,
     ggn_explicit,
-    sym_eig_min,
     toeplitz,
 )
 from .ops import (
@@ -72,14 +70,11 @@ from .ops import (
     weight_vjp,
 )
 from .pattern import (
-    BoundaryPixels,
     DimSpec,
     IndexPattern,
     InvalidHyperParams,
     PatternKind,
-    boundary_pixel_free,
     classify,
-    kernel_output_swap,
     output_size,
     pattern,
 )

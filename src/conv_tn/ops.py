@@ -21,9 +21,12 @@ come from the table.  Channel names inside a term count channels per
 group; the grouped axis ``(g c_out)`` is the full channel dimension.  The
 1/N scale of the KFAC factors is applied here; the engine never scales.
 
-A network is planned from shapes alone and cached on (op, layer, columns,
-simplify).  A warm call formats no equation, parses nothing and fetches
-only the pattern tables that the rewrites keep.
+Every call takes one path.  A network is parsed, rewritten (with no
+pattern roles when simplify is off, which removes nothing) and planned from
+shapes alone, and cached on (op, layer, columns, simplify).  A warm call
+formats no equation, parses nothing and fetches only the pattern tables
+that the rewrites keep; it gathers, contracts, folds, takes the Gram of a
+mirrored network's half, and scales, each where the prepared network has it.
 """
 
 from __future__ import annotations
@@ -341,32 +344,6 @@ def build_network(
     return net
 
 
-class _Contraction(NamedTuple):
-    """A planned network: its spec, its rewrites (None without them) and the plan that runs."""
-
-    spec: einsum.EinsumSpec
-    sim: SimplifyResult | None
-    plan: einsum.ContractionPlan
-
-    @property
-    def kept(self):
-        """The positions of the operands the contraction reads."""
-        return self.sim.kept if self.sim is not None else range(len(self.spec.operand_terms))
-
-    def run(self, operands) -> Tensor:
-        if self.sim is None:
-            return einsum.contract(self.spec, operands, self.plan)
-        out = einsum.contract(self.sim.spec, self.sim.apply(operands), self.plan)
-        return out if self.sim.fold is None else self.sim.fold.apply(out)
-
-
-def _contraction(spec: einsum.EinsumSpec, roles: dict, use_simplify: bool) -> _Contraction:
-    if use_simplify:
-        sim = simplify_structure(spec, roles)
-        return _Contraction(spec, sim, sim.plan)
-    return _Contraction(spec, None, einsum.plan(spec))
-
-
 # numpy's matmul of one buffer by its own transpose calls syrk, which halves the
 # multiply-adds but then fills the other triangle with a strided rows x rows
 # copy.  On one BLAS thread (2-core Xeon) gemm on a copy of the buffer is faster
@@ -376,35 +353,27 @@ def _contraction(spec: einsum.EinsumSpec, roles: dict, use_simplify: bool) -> _C
 _SYRK_MIN_CONTRACTED = 128
 
 
-class _Mirror(NamedTuple):
-    """A network that is two copies of one half joined on the indices they share.
+class _Gram(NamedTuple):
+    """The last step of a mirrored network: V contracted with its renamed copy.
 
-    ``half`` contracts the first half of the operands into V, which lists
-    the shared output indices, the half's own output indices and the shared
-    summed indices.  ``spec`` and ``plan`` contract V with its renamed copy
-    into the output.  When ``shared`` is set that step reads V's buffer
-    twice, which numpy's matmul turns into syrk; otherwise it reads a copy.
+    V, the first operand of ``spec``, is the half's result: the shared
+    output indices, the half's own output indices and the shared summed
+    indices.  When ``shared`` is set the step reads V's buffer twice, which
+    numpy's matmul turns into syrk; otherwise it reads a copy.
     """
 
-    half: _Contraction
     spec: einsum.EinsumSpec
     plan: einsum.ContractionPlan
     shared: bool
 
     @property
-    def kept(self):
-        return self.half.kept
+    def v_elements(self) -> int:
+        """The size of V, which a fold in the half writes from a differently shaped result."""
+        return math.prod(self.spec.sizes[i] for i in self.spec.operand_indices[0])
 
-    @property
-    def cost(self) -> MirrorCost:
-        v = math.prod(self.half.spec.output_shape())
-        return MirrorCost(
-            self.half.plan.flops, self.plan.flops, max(self.half.plan.max_intermediate, v)
-        )
-
-    def run(self, operands) -> Tensor:
-        v = self.half.run(operands[: len(self.half.spec.operand_terms)])
-        return einsum.contract(self.spec, (v, v if self.shared else v.copy()), self.plan)
+    def cost(self, half: einsum.ContractionPlan) -> MirrorCost:
+        """The cost of the half's plan ``half``, then this step."""
+        return MirrorCost(half.flops, self.plan.flops, max(half.max_intermediate, self.v_elements))
 
 
 def _renaming(spec: einsum.EinsumSpec, sources: tuple) -> dict[str, str] | None:
@@ -433,8 +402,8 @@ def _renaming(spec: einsum.EinsumSpec, sources: tuple) -> dict[str, str] | None:
     return rename if {swap[i] for i in out} == set(out) else None
 
 
-def _mirror(net: Network, spec: einsum.EinsumSpec, use_simplify: bool) -> _Mirror | None:
-    """``net`` planned as one half and the Gram or square of its result, if it is mirrored."""
+def _mirror(net: Network, spec: einsum.EinsumSpec, roles: dict) -> tuple[SimplifyResult, _Gram] | None:
+    """``net``'s first half, rewritten with ``roles``, and its Gram step, if ``net`` is mirrored."""
     rename = _renaming(spec, net.sources)
     if rename is None:
         return None
@@ -444,10 +413,9 @@ def _mirror(net: Network, spec: einsum.EinsumSpec, use_simplify: bool) -> _Mirro
     summed = [i for i, j in rename.items() if i == j and i not in out]
     v = [i for i in out if rename.get(i) == i] + rows + summed
     try:
-        half = _contraction(
+        half = simplify_structure(
             einsum.make_spec(spec.operand_terms[:h], v, spec.sizes),
-            {p: d for p, d in net.roles.items() if p < h},
-            use_simplify,
+            {p: d for p, d in roles.items() if p < h},
         )
         final = einsum.make_spec((tuple(v), tuple(rename[i] for i in v)), spec.output_term, spec.sizes)
         plan = einsum.plan(final)
@@ -457,18 +425,30 @@ def _mirror(net: Network, spec: einsum.EinsumSpec, use_simplify: bool) -> _Mirro
     shared = math.prod(spec.sizes[i] for i in rows) == 1 or (
         math.prod(spec.sizes[i] for i in summed) >= _SYRK_MIN_CONTRACTED
     )
-    return _Mirror(half, final, plan, shared)
+    return half, _Gram(final, plan, shared)
 
 
 class _Prepared(NamedTuple):
+    """One network, rewritten and planned: the one thing a call runs.
+
+    ``sim`` holds the rewrites (none without simplify) and the plan of the
+    network, or of its first half when ``gram`` is set.  ``run`` applies the
+    gathers, contracts, folds, takes the Gram if there is one, and scales.
+    """
+
     net: Network  # the network it was planned from, with zero placeholders as operands
     spec: einsum.EinsumSpec
-    full: _Contraction | None  # None when the mirror was chosen without planning the full network
-    mirror: _Mirror | None  # set when it runs in place of the full network
+    sim: SimplifyResult
+    gram: _Gram | None
 
-    @property
-    def chosen(self) -> _Contraction | _Mirror:
-        return self.mirror or self.full
+    def run(self, operands, scale: float | None) -> Tensor:
+        sim, gram = self.sim, self.gram
+        out = einsum.contract(sim.spec, sim.apply(operands), sim.plan)
+        if sim.fold is not None:
+            out = sim.fold.apply(out)
+        if gram is not None:
+            out = einsum.contract(gram.spec, (out, out if gram.shared else out.copy()), gram.plan)
+        return out if scale is None else out * scale
 
 
 _PREP_CACHE: dict = {}
@@ -477,55 +457,52 @@ _PREP_CACHE: dict = {}
 def _prepare(key, make_net, use_simplify: bool) -> _Prepared:
     """Parse, rewrite and plan the network ``make_net()``, cached under ``key``.
 
-    A mirrored network is also planned as one half and the Gram or square
-    of its result, which runs when it plans no more FLOPs than the full
-    network, or when the full network cannot be planned.  The full network
-    is not planned when the half's result holds no more elements than the
-    half's data operands.
+    Without simplify the rewrites get no pattern roles, so they remove
+    nothing and the plan is ``einsum.plan``'s for the network.  A mirrored
+    network is also planned as one half and the Gram or square of its
+    result, which runs when it plans no more FLOPs than the full network,
+    or when the full network cannot be planned.  The full network is not
+    planned when V holds no more elements than the half's data operands.
 
-    The key holds everything that decides the result; the rewrites depend
-    on the patterns' hyper-parameters, not only on their shapes.  The cache
-    is emptied once it holds 4096 entries.
+    The key holds everything that decides the result but the scale, which
+    the caller applies; the rewrites depend on the patterns'
+    hyper-parameters, not only on their shapes.  The cache is emptied once
+    it holds 4096 entries.
     """
     hit = _PREP_CACHE.get(key)
     if hit is None:
         net = make_net()
         spec = einsum.parse(net.equation, [a.shape for a in net.operands], sizes=net.seeds)
-        mirror, full = _mirror(net, spec, use_simplify), None
-        if mirror is None or not _surely_cheaper(mirror, net):
+        roles = net.roles if use_simplify else {}
+        mirror = _mirror(net, spec, roles)
+        if mirror is None or not _surely_cheaper(mirror[1], net):
             try:
-                full = _contraction(spec, net.roles, use_simplify)
+                full = simplify_structure(spec, roles)
             except Unsupported:
                 if mirror is None:
                     raise
-            if full is not None and mirror is not None and mirror.cost.flops > full.plan.flops:
-                mirror = None
-        hit = _Prepared(net, spec, full, mirror)
+            else:
+                if mirror is None or mirror[1].cost(mirror[0].plan).flops > full.plan.flops:
+                    mirror = full, None
+        hit = _Prepared(net, spec, *mirror)
         if len(_PREP_CACHE) >= 4096:
             _PREP_CACHE.clear()
         _PREP_CACHE[key] = hit
     return hit
 
 
-def _surely_cheaper(mirror: _Mirror, net: Network) -> bool:
+def _surely_cheaper(gram: _Gram, net: Network) -> bool:
     """Whether V holds no more elements than the half's data operands.
 
     The full plan is then taken to cost at least the mirror's; on every
     curvature network of the bundled layers and the benchmark workloads it
     does.
     """
-    h = len(mirror.half.spec.operand_terms)
+    h = len(net.sources) // 2
     data = sum(
         math.prod(a.shape) for a, src in zip(net.operands[:h], net.sources) if isinstance(src, str)
     )
-    return math.prod(mirror.half.spec.output_shape()) <= data
-
-
-def _full(prep: _Prepared, use_simplify: bool) -> _Contraction:
-    """The full network's contraction, planned now if ``_prepare`` skipped it."""
-    if prep.full is not None:
-        return prep.full
-    return _contraction(prep.spec, prep.net.roles, use_simplify)
+    return gram.v_elements <= data
 
 
 def _planned(conv: ConvSpec, op: str, columns: int, use_simplify: bool) -> _Prepared:
@@ -533,11 +510,6 @@ def _planned(conv: ConvSpec, op: str, columns: int, use_simplify: bool) -> _Prep
         return build_network(conv, op, None, columns=columns)
 
     return _prepare((op, conv, columns, use_simplify), make_net, use_simplify)
-
-
-def _contract(prep: _Prepared, operands, scale: float | None) -> Tensor:
-    out = prep.chosen.run(operands)
-    return out if scale is None else out * scale
 
 
 def execute(net: Network, use_simplify: bool = False) -> Tensor:
@@ -549,8 +521,7 @@ def execute(net: Network, use_simplify: bool = False) -> Tensor:
         return replace(net, operands=[np.broadcast_to(0.0, shape) for shape in shapes])
 
     key = (net.equation, shapes, seeds, roles, net.sources, use_simplify)
-    prep = _prepare(key, shape_only, use_simplify)
-    return _contract(prep, net.operands, net.scale)
+    return _prepare(key, shape_only, use_simplify).run(net.operands, net.scale)
 
 
 def run_op(
@@ -562,21 +533,26 @@ def run_op(
 ) -> Tensor:
     """Contract ``op``'s network over ``arrays``, exactly the arrays ``op`` names."""
     prep = _planned(conv, op, _columns(op, arrays), simplify)
-    return _contract(prep, _operands(prep.net, arrays, prep.chosen.kept), prep.net.scale)
+    return prep.run(_operands(prep.net, arrays, prep.sim.kept), prep.net.scale)
 
 
 def op_cost(conv: ConvSpec, op: str, *, columns: int = 2) -> OpCosts:
-    """The full networks' plans with and without pattern rewrites, and the mirrored evaluations."""
+    """The full networks' plans with and without pattern rewrites, and the mirrored evaluations.
+
+    Where a Gram runs, the full network is planned here.
+    """
     base, simplified = (_planned(conv, op, columns, s) for s in (False, True))
-    full = _full(simplified, True)
+    full = [
+        p.sim if p.gram is None else simplify_structure(p.spec, roles)
+        for p, roles in ((base, {}), (simplified, simplified.net.roles))
+    ]
     return OpCosts(
         base.net.equation,
-        _full(base, False).plan,
-        full.plan,
-        full.sim.steps,
+        full[0].plan,
+        full[1].plan,
+        full[1].steps,
         math.prod(base.spec.output_shape()),
-        base.mirror and base.mirror.cost,
-        simplified.mirror and simplified.mirror.cost,
+        *(p.gram and p.gram.cost(p.sim.plan) for p in (base, simplified)),
     )
 
 

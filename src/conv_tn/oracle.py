@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -123,23 +123,6 @@ def toeplitz(spec: "ConvSpec", w: Tensor) -> Tensor:
     return a.reshape(spec.c_out * int(np.prod(outs)), spec.c_in * int(np.prod(ins)))
 
 
-def finite_difference_vjp(f: Callable[[Tensor], float], t: Tensor, h: float = 1e-6) -> Tensor:
-    """Central-difference gradient of a scalar function, entry by entry."""
-    grad = np.zeros_like(t, dtype=np.float64)
-    flat = grad.reshape(-1)
-    base = np.array(t, dtype=np.float64)
-    for j in range(base.size):
-        probe = base.reshape(-1)
-        old = probe[j]
-        probe[j] = old + h
-        up = f(base)
-        probe[j] = old - h
-        down = f(base)
-        probe[j] = old
-        flat[j] = (up - down) / (2.0 * h)
-    return grad
-
-
 @dataclass
 class GgnOracle:
     full: Tensor
@@ -197,10 +180,3 @@ def ggn_explicit(spec: "ConvSpec", x: Tensor, s_y: Tensor) -> GgnOracle:
         per_sample[n] = (cols**2).sum(axis=1).reshape(spec.c_out, cig, *ks)
     return GgnOracle(full, diag, gram, per_sample)
 
-
-def sym_eig_min(m: Tensor) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"expected a square matrix, got {m.shape}")
-    return float(np.linalg.eigvalsh(m)[0])

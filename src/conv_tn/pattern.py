@@ -37,10 +37,6 @@ def check_int(name: str, value, least: int) -> None:
         raise InvalidHyperParams(f"{name} must be >= {least}, got {value}")
 
 
-class BoundaryPixels(ValueError):
-    """The stride leaves dangling input pixels, so the identity cannot hold."""
-
-
 class PatternKind(enum.Enum):
     DENSE = "dense"
     DOWN_SAMPLING = "down_sampling"
@@ -74,11 +70,6 @@ class DimSpec:
 
 def output_size(dim: DimSpec) -> int:
     return 1 + (dim.input_size + 2 * dim.padding - dim.span) // dim.stride
-
-
-def boundary_pixel_free(dim: DimSpec) -> bool:
-    """True when the stride divides the padded input exactly (no dangling pixels)."""
-    return (dim.input_size + 2 * dim.padding - dim.span) % dim.stride == 0
 
 
 def classify(dim: DimSpec) -> PatternKind:
@@ -144,25 +135,4 @@ def pattern(dim: DimSpec) -> IndexPattern:
     for view in (table, ik, ok):
         view.flags.writeable = False
     return IndexPattern(dim, o_size, classify(dim), table, ik, ok)
-
-
-def kernel_output_swap(p: IndexPattern) -> IndexPattern:
-    """Exchange the kernel and output legs of a boundary-pixel-free pattern.
-
-    The swapped pattern belongs to the hyper-parameters (I, O, D, P, S):
-    kernel size and output size trade places, and so do stride and
-    dilation.  Its table is the (i, k, o) transposition of the original.
-    """
-    if not boundary_pixel_free(p.dim):
-        raise BoundaryPixels(
-            f"{p.dim} has dangling pixels; kernel/output legs are not exchangeable"
-        )
-    swapped = DimSpec(
-        input_size=p.dim.input_size,
-        kernel_size=p.output_size,
-        stride=p.dim.dilation,
-        padding=p.dim.padding,
-        dilation=p.dim.stride,
-    )
-    return pattern(swapped)
 

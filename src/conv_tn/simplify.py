@@ -231,7 +231,10 @@ class SimplifyResult:
 
     ``apply`` turns the network's operands into those of ``spec``, which
     ``plan`` contracts; when ``fold`` is set, ``fold.apply`` turns that
-    contraction into the network's output.
+    contraction into the network's output.  Without pattern roles nothing
+    is rewritten: ``kept`` holds every position, ``spec`` is the network's,
+    ``plan`` is ``einsum.plan``'s for it, and ``apply`` passes the operands
+    through.
     """
 
     spec: einsum.EinsumSpec
@@ -241,13 +244,12 @@ class SimplifyResult:
     gathers: dict[int, Gather]
     fold: Fold | None
 
-    def apply(self, operands) -> list[Tensor]:
-        out: list[Tensor] = []
-        for pos in self.kept:
-            arr = np.asarray(operands[pos], dtype=np.float64)
-            gather = self.gathers.get(pos)
-            out.append(arr if gather is None else gather.apply(arr))
-        return out
+    def apply(self, operands) -> list:
+        gathers = self.gathers
+        return [
+            operands[p] if p not in gathers else gathers[p].apply(np.asarray(operands[p], dtype=np.float64))
+            for p in self.kept
+        ]
 
 
 def _members(atom) -> tuple[str, ...]:
@@ -339,9 +341,10 @@ def simplify_structure(
         alive.remove(pos)
         steps.append(RewriteStep(kind, pos, detail))
 
-    new_terms = tuple(tuple(terms[p]) for p in alive)
-    output = tuple(out_names) if folds else spec.output_term
-    new_spec = einsum.make_spec(new_terms, output, spec.sizes)
+    new_spec = spec  # unless a rewrite fired
+    if steps:
+        output = tuple(out_names) if folds else spec.output_term
+        new_spec = einsum.make_spec(tuple(tuple(terms[p]) for p in alive), output, spec.sizes)
     plan = einsum.plan(new_spec)
     fold = None
     if folds:

@@ -11,7 +11,7 @@ import numpy as np
 
 from conv_tn import einsum
 from conv_tn.crs import CrsConfig, crs_weight_vjp, masked_weight_vjp, normalized_error
-from conv_tn.oracle import direct_conv, direct_unfold, finite_difference_vjp, sym_eig_min
+from conv_tn.oracle import direct_conv, direct_unfold
 from conv_tn.ops import (
     ConvSpec,
     input_shapes,
@@ -22,16 +22,12 @@ from conv_tn.ops import (
     run_op,
     weight_vjp,
 )
-from conv_tn.pattern import (
-    DimSpec,
-    boundary_pixel_free,
-    kernel_output_swap,
-    output_size,
-    pattern,
-)
+from conv_tn.pattern import DimSpec, output_size, pattern
 from conv_tn.verify import default_grid, run_verification
 
 from test_einsum import brute_force_min_flops, left_deep_plan, naive_contract
+from test_oracle import finite_difference_vjp, sym_eig_min
+from test_pattern import boundary_pixel_free, kernel_output_swap
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

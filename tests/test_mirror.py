@@ -11,6 +11,7 @@ from conv_tn import einsum, ops
 from conv_tn.cli import load_layers
 from conv_tn.ops import OP_NAMES, ConvSpec, op_cost, run_op
 from conv_tn.pattern import DimSpec, output_size, pattern
+from conv_tn.simplify import simplify_structure
 from conv_tn.tensor import Unsupported
 from conv_tn.verify import compare, make_inputs, oracle_run
 
@@ -39,11 +40,11 @@ LAYERS = (
 def _mirrored(conv, op, arrays, simplify):
     """``op``'s value through its mirrored evaluation, chosen or not; None if it has none."""
     prep = ops._planned(conv, op, ops._columns(op, arrays), simplify)
-    mirror = ops._mirror(prep.net, prep.spec, simplify)
+    mirror = ops._mirror(prep.net, prep.spec, prep.net.roles if simplify else {})
     if mirror is None:
         return None
-    operands = ops._operands(prep.net, arrays, mirror.kept)
-    return ops._contract(prep._replace(mirror=mirror), operands, prep.net.scale)
+    prep = prep._replace(sim=mirror[0], gram=mirror[1])
+    return prep.run(ops._operands(prep.net, arrays, prep.sim.kept), prep.net.scale)
 
 
 @pytest.mark.parametrize("simplify", [False, True])
@@ -136,8 +137,8 @@ def test_four_dimensional_curvature_without_rewrites(op):
         with pytest.raises(Unsupported):
             einsum.plan(_spec(net))
     prep = ops._planned(conv, op, 2, False)
-    assert prep.mirror is not None
-    assert len(prep.mirror.half.spec.operand_terms) == len(net.operands) // 2
+    assert prep.gram is not None
+    assert len(prep.sim.spec.operand_terms) == len(net.operands) // 2
     arrays = make_inputs(conv, op, np.random.default_rng(3))
     assert compare(run_op(conv, op, arrays), oracle_run(conv, op, arrays)) <= 1e-12
 
@@ -156,8 +157,8 @@ def test_chosen_evaluation_never_plans_more_than_the_full_network():
         for op in CURVATURE:
             for simplify in (False, True):
                 prep = ops._planned(conv, op, 2, simplify)
-                full = ops._contraction(prep.spec, prep.net.roles, simplify).plan.flops
-                chosen = prep.mirror.cost.flops if prep.mirror else prep.full.plan.flops
+                full = simplify_structure(prep.spec, prep.net.roles if simplify else {}).plan.flops
+                chosen = prep.sim.plan.flops + (prep.gram.plan.flops if prep.gram else 0)
                 assert chosen <= full, (name, op, simplify)
                 flops, _ = op_cost(conv, op).ran(simplify)
                 assert flops == chosen, (name, op, simplify)
@@ -167,11 +168,10 @@ def test_kfac_expand_transpose_is_the_gram_of_transpose_unfold():
     conv = ConvSpec(2, 1, 2, 3, (DimSpec(5, 2, 1, 1), DimSpec(4, 3, 1, 1)))
     arrays = make_inputs(conv, "kfac_expand_transpose", np.random.default_rng(5))
     prep = ops._planned(conv, "kfac_expand_transpose", 2, True)
-    assert prep.mirror is not None
+    assert prep.gram is not None
     # the half is transpose_unfold: its pattern is folded away, and V is (g, c_out k, n i)
-    half = prep.mirror.half
-    assert [s.kind.value for s in half.sim.steps] == ["fold"] * conv.nd
-    assert half.spec.output_indices[:2] == ("g", "c_out")
+    assert [s.kind.value for s in prep.sim.steps] == ["fold"] * conv.nd
+    assert prep.gram.spec.operand_indices[0][:2] == ("g", "c_out")
     unfolded = ops.transpose_unfold(conv, arrays["y"], simplify=True)
     n_i = conv.batch * math.prod(conv.input_sizes)
     cols = unfolded.reshape(conv.batch, conv.c_out * math.prod(conv.kernel_sizes), -1)
@@ -179,3 +179,19 @@ def test_kfac_expand_transpose_is_the_gram_of_transpose_unfold():
     want = rows @ rows.T / conv.batch
     got = run_op(conv, "kfac_expand_transpose", arrays, simplify=True)
     assert compare(got.reshape(want.shape), want) <= 1e-12
+    # V is counted as transpose_unfold's result, not as the contraction its fold writes from
+    cost = op_cost(conv, "kfac_expand_transpose").mirrored
+    assert cost.max_intermediate == max(prep.sim.plan.max_intermediate, unfolded.size)
+    assert prep.sim.plan.max_intermediate < unfolded.size
+
+
+@pytest.mark.parametrize("simplify", [False, True])
+def test_execute_scales_by_the_callers_network(simplify):
+    # the cache key leaves the scale out: a cached network's scale must not leak
+    net = _network((DimSpec(5, 2), DimSpec(4, 2, 1, 1)))
+    assert net.scale == 0.5
+    halved = ops.execute(net, simplify)
+    doubled = ops.execute(dataclasses.replace(net, scale=2.0), simplify)
+    unscaled = ops.execute(dataclasses.replace(net, scale=None), simplify)
+    assert np.array_equal(doubled, 4 * halved)
+    assert np.array_equal(unscaled, 2 * halved)

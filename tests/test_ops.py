@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conv_tn import ops
+from conv_tn import crs, einsum, ops
 from conv_tn.oracle import direct_conv, direct_unfold, toeplitz
 from conv_tn.ops import (
     OP_NAMES,
@@ -35,6 +35,7 @@ from conv_tn.ops import (
     weight_vjp,
 )
 from conv_tn.pattern import DimSpec, InvalidHyperParams, output_size, pattern
+from conv_tn.simplify import SimplifyResult
 from conv_tn.tensor import ShapeMismatch, Unsupported
 from conv_tn.verify import compare, make_inputs, oracle_run
 
@@ -476,3 +477,38 @@ def test_plain_wrappers_take_the_arrays_in_table_order(small):
             fn(small, arrays["x"])
         with pytest.raises(TypeError):
             fn(small, *arrays.values(), per_sample=True)
+
+
+@pytest.mark.parametrize("simplify", [False, True])
+def test_calls_reach_the_attributes_a_tracer_rebinds(simplify, monkeypatch):
+    # a span tracer wraps these module and class attributes; a call that
+    # bypasses one of them would go missing from its trace
+    for owner, name in ((ops, "run_op"), (ops, "build_network"), (ops, "pattern"),
+                        (einsum, "parse"), (crs, "crs_weight_vjp")):
+        assert callable(getattr(owner, name)), name
+    calls: dict[str, int] = {}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((einsum, "contract"), (einsum, "plan"), (ops, "simplify_structure"),
+                        (SimplifyResult, "apply")):
+        counting(owner, name)
+    conv = ConvSpec(2, 1, 2, 3, (DimSpec(6, 3, 1, 1), DimSpec(5, 2, 2)))
+    rng = np.random.default_rng(8)
+    for op in ("conv_forward", "input_vjp", "kfac_expand_factor", "ggn_diagonal"):
+        arrays = make_inputs(conv, op, rng)
+        ops._PREP_CACHE.clear()
+        calls.clear()
+        cold = run_op(conv, op, arrays, simplify=simplify)
+        assert calls.keys() == {"contract", "plan", "simplify_structure", "apply"}, (op, calls)
+        calls.clear()
+        warm = run_op(conv, op, arrays, simplify=simplify)
+        assert calls.keys() == {"contract", "apply"}, (op, calls)
+        assert np.array_equal(cold, warm), op

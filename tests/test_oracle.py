@@ -1,5 +1,7 @@
 """Reference implementations used to validate the engine."""
 
+from typing import Callable
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,38 @@ from conv_tn.oracle import (
     direct_conv,
     direct_transpose_unfold,
     direct_unfold,
-    finite_difference_vjp,
     ggn_explicit,
-    sym_eig_min,
     toeplitz,
 )
 from conv_tn.ops import ConvSpec
 from conv_tn.pattern import DimSpec
-from conv_tn.tensor import ShapeMismatch, Unsupported
+from conv_tn.tensor import ShapeMismatch, Tensor, Unsupported
 from conv_tn.verify import oracle_kfac_expand
+
+
+def finite_difference_vjp(f: Callable[[Tensor], float], t: Tensor, h: float = 1e-6) -> Tensor:
+    """Central-difference gradient of a scalar function, entry by entry."""
+    grad = np.zeros_like(t, dtype=np.float64)
+    flat = grad.reshape(-1)
+    base = np.array(t, dtype=np.float64)
+    for j in range(base.size):
+        probe = base.reshape(-1)
+        old = probe[j]
+        probe[j] = old + h
+        up = f(base)
+        probe[j] = old - h
+        down = f(base)
+        probe[j] = old
+        flat[j] = (up - down) / (2.0 * h)
+    return grad
+
+
+def sym_eig_min(m: Tensor) -> float:
+    """Smallest eigenvalue of a symmetric matrix."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ShapeMismatch(f"expected a square matrix, got {m.shape}")
+    return float(np.linalg.eigvalsh(m)[0])
 
 
 def spec_1d(i=3, k=2, s=1, p=0, d=1, c_in=1, c_out=1, n=1, groups=1, bias=False):

@@ -7,16 +7,44 @@ import pytest
 
 from conv_tn import ops
 from conv_tn.pattern import (
-    BoundaryPixels,
     DimSpec,
+    IndexPattern,
     InvalidHyperParams,
     PatternKind,
-    boundary_pixel_free,
     classify,
-    kernel_output_swap,
     output_size,
     pattern,
 )
+
+
+class BoundaryPixels(ValueError):
+    """The stride leaves dangling input pixels, so the identity cannot hold."""
+
+
+def boundary_pixel_free(dim: DimSpec) -> bool:
+    """True when the stride divides the padded input exactly (no dangling pixels)."""
+    return (dim.input_size + 2 * dim.padding - dim.span) % dim.stride == 0
+
+
+def kernel_output_swap(p: IndexPattern) -> IndexPattern:
+    """Exchange the kernel and output legs of a boundary-pixel-free pattern.
+
+    The swapped pattern belongs to the hyper-parameters (I, O, D, P, S):
+    kernel size and output size trade places, and so do stride and
+    dilation.  Its table is the (i, k, o) transposition of the original.
+    """
+    if not boundary_pixel_free(p.dim):
+        raise BoundaryPixels(
+            f"{p.dim} has dangling pixels; kernel/output legs are not exchangeable"
+        )
+    swapped = DimSpec(
+        input_size=p.dim.input_size,
+        kernel_size=p.output_size,
+        stride=p.dim.dilation,
+        padding=p.dim.padding,
+        dilation=p.dim.stride,
+    )
+    return pattern(swapped)
 
 
 def valid_dims(max_i=8, max_k=4, max_s=3, max_p=2, max_d=2):

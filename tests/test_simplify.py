@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conv_tn import einsum
+from conv_tn.cli import load_layers
 from conv_tn.ops import OP_NAMES, ConvSpec, build_network, input_shapes, op_cost, run_op
 from conv_tn.pattern import DimSpec, output_size, pattern
 from conv_tn.simplify import RewriteKind, simplify_structure
@@ -137,6 +138,24 @@ def test_each_network_is_planned_once(conv, monkeypatch):
         sim = simplify_structure(spec, net.roles)
         assert len(calls) == 1, op
         assert sim.plan == plan(sim.spec), op
+
+
+_GROUPED_3D = ConvSpec(2, 2, 2, 2, (DimSpec(4, 2, 1, 1), DimSpec(3, 2), DimSpec(3, 2, 1, 0, 2)))
+_PLAIN_3D = ConvSpec(2, 1, 1, 2, (DimSpec(3, 2), DimSpec(4, 2, 2, 1), DimSpec(3, 1)))
+
+
+def test_no_roles_remove_nothing_and_plan_the_network_as_it_is():
+    # an unsimplified call runs through simplify_structure with no roles
+    for conv in [c for _, c in load_layers(None)] + [_PLAIN_3D, _GROUPED_3D]:
+        for op in OP_NAMES:
+            if op == "unfold_kernel" and conv.groups != 1:
+                continue
+            net = build_network(conv, op)
+            spec = einsum.parse(net.equation, [a.shape for a in net.operands], sizes=net.seeds)
+            sim = simplify_structure(spec, {})
+            assert sim.steps == () and sim.gathers == {} and sim.fold is None, op
+            assert sim.kept == tuple(range(len(net.operands))), op
+            assert sim.spec == spec and sim.plan == einsum.plan(spec), op
 
 
 # A digest, per op, of its rewrite kinds and simplified plan on every layer of
