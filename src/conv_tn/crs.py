@@ -7,6 +7,9 @@ unbiased estimate at a fraction of the cost.  Channels are sampled per
 group (the same channel subset in every group), spatial axes are sampled
 by narrowing the input together with the matching pattern rows.  The axes
 are named ``c_in`` and ``i1`` ... ``i<nd>``, one per spatial dimension.
+The ``weight_vjp`` network then runs at the narrowed shapes as every op
+runs, with simplify on: the pattern of each unmasked dimension is gathered,
+and a narrowed table, the pattern of no ``DimSpec``, stays dense.
 
 ``masked_weight_vjp`` is the deterministic core: it takes explicit boolean
 masks so tests can enumerate every outcome.  ``crs_weight_vjp`` draws the
@@ -21,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ops import ConvSpec, Network, equation, execute
+from .ops import ConvSpec, Network, _prepare, build_network
 from .pattern import pattern
 from .tensor import ShapeMismatch, Tensor, Unsupported
 
@@ -123,11 +126,20 @@ def masked_weight_vjp(
     if x.size == 0:
         return np.zeros(out_shape)
 
-    # the weight VJP's equation over the masked operands; the row-masked
-    # tables are the pattern of no DimSpec, so they have no roles and no rewrites
-    eq = equation("weight_vjp", conv.nd)
-    net = Network("crs_weight_vjp", eq, [x, *tables, v_y], {}, {"g": conv.groups})
-    est = execute(net) * scale
+    operands = [x, *tables, v_y]
+    shapes = tuple(a.shape for a in operands)
+    masked = tuple(1 + d for d in range(conv.nd) if f"i{d + 1}" in checked)  # table positions
+
+    def make_net() -> Network:
+        # weight_vjp's network at the masked shapes; a masked table has no role and stays dense
+        net = build_network(conv, "weight_vjp")
+        net.operands = [np.broadcast_to(0.0, shape) for shape in shapes]
+        net.roles = {p: d for p, d in net.roles.items() if p not in masked}
+        net.sources = tuple(None if p in masked else s for p, s in enumerate(net.sources))
+        return net
+
+    prep = _prepare(("crs_weight_vjp", conv, shapes, masked), make_net, True)
+    est = prep.run(operands) * scale
     if c_mask is not None:
         full = np.zeros(out_shape)
         full[:, c_mask] = est

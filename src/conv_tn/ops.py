@@ -21,7 +21,7 @@ come from the table.  Channel names inside a term count channels per
 group; the grouped axis ``(g c_out)`` is the full channel dimension.  The
 1/N scale of the KFAC factors is applied here; the engine never scales.
 
-Every call takes one path.  A network is parsed, rewritten (with no
+Every call, ``crs``'s too, takes one path.  A network is parsed, rewritten (with no
 pattern roles when simplify is off, which removes nothing) and planned from
 shapes alone, and cached on (op, layer, columns, simplify).  A warm call
 formats no equation, parses nothing and fetches only the pattern tables
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
 from typing import NamedTuple
@@ -72,6 +72,11 @@ class ConvSpec:
             raise InvalidHyperParams("a convolution needs at least one spatial dimension")
         if not isinstance(self.has_bias, bool):
             raise InvalidHyperParams(f"has_bias must be true or false, got {self.has_bias!r}")
+        fields = (self.batch, self.groups, self.c_in, self.c_out, self.dims, self.has_bias)
+        object.__setattr__(self, "_hash", hash(fields))  # taken once: every call hashes its layer
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def nd(self) -> int:
@@ -100,7 +105,7 @@ class Network:
     """One ready-to-contract tensor network.
 
     ``sources`` names, per operand, the input array it holds (``x^2`` for
-    the square of ``x``) or the ``(legs, DimSpec)`` of its pattern table.
+    the square of ``x``) or the ``(legs, DimSpec)`` of its pattern table (None if CRS-masked).
     Operands with equal sources must hold equal arrays: a network whose two
     halves hold the same sources may be contracted as one half and its Gram.
     """
@@ -241,11 +246,6 @@ def _expanded(op: str, nd: int) -> tuple[str, tuple, tuple[str, ...]]:
     return ", ".join(terms) + " -> " + spatial(out), tuple(sources), inputs
 
 
-def equation(op: str, nd: int) -> str:
-    """The einsum equation of ``op`` over ``nd`` spatial dimensions."""
-    return _expanded(op, nd)[0]
-
-
 def input_shapes(conv: ConvSpec, op: str, columns: int = 2) -> dict[str, tuple[int, ...]]:
     """Canonical shapes of the arrays ``op`` consumes, in the order its terms name them."""
     ins, outs, ks = conv.input_sizes, conv.out_sizes, conv.kernel_sizes
@@ -277,7 +277,8 @@ def _columns(op: str, arrays: dict) -> int:
     ``s``, or with a 0-d one that the shape check then refuses, it is 2.
     """
     names = _expanded(op, 1)[2]
-    if arrays.keys() != set(names) or any(arrays[name] is None for name in names):
+    # the names are distinct, so this holds exactly when the keys are the names
+    if len(arrays) != len(names) or any(arrays.get(name) is None for name in names):
         raise TypeError(f"{op}() takes the arrays ({', '.join(names)})")
     shape = np.shape(arrays["s"]) if "s" in arrays else ()
     return int(shape[0]) if shape else 2
@@ -441,8 +442,8 @@ class _Prepared(NamedTuple):
     sim: SimplifyResult
     gram: _Gram | None
 
-    def run(self, operands, scale: float | None) -> Tensor:
-        sim, gram = self.sim, self.gram
+    def run(self, operands) -> Tensor:
+        sim, gram, scale = self.sim, self.gram, self.net.scale
         out = einsum.contract(sim.spec, sim.apply(operands), sim.plan)
         if sim.fold is not None:
             out = sim.fold.apply(out)
@@ -464,10 +465,9 @@ def _prepare(key, make_net, use_simplify: bool) -> _Prepared:
     or when the full network cannot be planned.  The full network is not
     planned when V holds no more elements than the half's data operands.
 
-    The key holds everything that decides the result but the scale, which
-    the caller applies; the rewrites depend on the patterns'
-    hyper-parameters, not only on their shapes.  The cache is emptied once
-    it holds 4096 entries.
+    The key holds everything that decides the result, the network's scale
+    included; the rewrites depend on the patterns' hyper-parameters, not
+    only on their shapes.  The cache is emptied once it holds 4096 entries.
     """
     hit = _PREP_CACHE.get(key)
     if hit is None:
@@ -512,18 +512,6 @@ def _planned(conv: ConvSpec, op: str, columns: int, use_simplify: bool) -> _Prep
     return _prepare((op, conv, columns, use_simplify), make_net, use_simplify)
 
 
-def execute(net: Network, use_simplify: bool = False) -> Tensor:
-    """Contract ``net``, after the pattern rewrites when ``use_simplify`` is set."""
-    shapes = tuple(a.shape for a in net.operands)
-    seeds, roles = (tuple(sorted(d.items())) for d in (net.seeds, net.roles))
-
-    def shape_only() -> Network:  # the cache keeps the operands' shapes, not their data
-        return replace(net, operands=[np.broadcast_to(0.0, shape) for shape in shapes])
-
-    key = (net.equation, shapes, seeds, roles, net.sources, use_simplify)
-    return _prepare(key, shape_only, use_simplify).run(net.operands, net.scale)
-
-
 def run_op(
     conv: ConvSpec,
     op: str,
@@ -533,7 +521,7 @@ def run_op(
 ) -> Tensor:
     """Contract ``op``'s network over ``arrays``, exactly the arrays ``op`` names."""
     prep = _planned(conv, op, _columns(op, arrays), simplify)
-    return prep.run(_operands(prep.net, arrays, prep.sim.kept), prep.net.scale)
+    return prep.run(_operands(prep.net, arrays, prep.sim.kept))
 
 
 def op_cost(conv: ConvSpec, op: str, *, columns: int = 2) -> OpCosts:

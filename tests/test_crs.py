@@ -16,7 +16,19 @@ from conv_tn.crs import (
 )
 from conv_tn.ops import ConvSpec, input_shapes, weight_vjp
 from conv_tn.pattern import DimSpec
+from conv_tn.simplify import RewriteKind
 from conv_tn.tensor import ShapeMismatch, Unsupported
+from conv_tn.verify import compare
+
+# 1d to 3d, each ungrouped and grouped
+LAYERS = (
+    ConvSpec(2, 1, 2, 3, (DimSpec(6, 3, 1, 1, 2),)),
+    ConvSpec(2, 2, 4, 2, (DimSpec(7, 2, 2, 1),)),
+    ConvSpec(2, 1, 2, 3, (DimSpec(5, 2, 1, 1), DimSpec(4, 2, 2))),
+    ConvSpec(3, 2, 4, 4, (DimSpec(5, 3, 2, 1), DimSpec(4, 2))),
+    ConvSpec(2, 1, 2, 2, (DimSpec(3, 2), DimSpec(4, 2, 2, 1), DimSpec(3, 1))),
+    ConvSpec(2, 2, 4, 2, (DimSpec(4, 2, 1, 1), DimSpec(3, 2), DimSpec(3, 2, 1, 0, 2))),
+)
 
 
 @pytest.fixture
@@ -191,3 +203,41 @@ def test_plan_cache_keeps_no_operand_data():
     assert len(ops._PREP_CACHE) == 2
     for prep in ops._PREP_CACHE.values():
         assert all(not any(a.strides) for a in prep.net.operands)
+
+
+def _zeroed(conv, x, masks):
+    """``x`` with every dropped channel (in each group) and dropped position set to zero."""
+    cig = conv.c_in // conv.groups
+    xg = x.reshape(conv.batch, conv.groups, cig, *conv.input_sizes).copy()
+    for axis, mask in masks.items():
+        where = [1] * xg.ndim
+        axis_at = 2 if axis == "c_in" else 2 + int(axis[1:])
+        where[axis_at] = mask.size
+        xg *= mask.reshape(where)
+    return xg.reshape(x.shape)
+
+
+@pytest.mark.parametrize("conv", LAYERS)
+def test_estimate_is_the_exact_vjp_of_the_zero_masked_input(conv):
+    x, v_y = data(conv, seed=13)
+    rng = np.random.default_rng(14)
+    axes = ("c_in", *(f"i{d + 1}" for d in range(conv.nd)))
+    for count in range(1, len(axes) + 1):
+        for chosen in itertools.combinations(axes, count):
+            masks = {}
+            for axis in chosen:
+                mask = rng.random(axis_size(conv, axis)) < 0.6
+                mask[rng.integers(mask.size)] = True  # keep one index, so a network runs
+                masks[axis] = mask
+            keep = {axis: 0.4 + 0.1 * j for j, axis in enumerate(chosen)}
+            exact = weight_vjp(conv, _zeroed(conv, x, masks), v_y).weight
+            exact /= np.prod(list(keep.values()))
+            ops._PREP_CACHE.clear()
+            est = masked_weight_vjp(conv, x, v_y, masks, keep)
+            assert compare(est, exact) <= 1e-12, chosen
+            # every dimension left unmasked is gathered; the masked ones stay dense tables
+            [prep] = ops._PREP_CACHE.values()
+            unmasked = [1 + d for d in range(conv.nd) if f"i{d + 1}" not in masks]
+            assert [s.kind for s in prep.sim.steps] == [RewriteKind.GATHER] * len(unmasked), chosen
+            assert sorted(s.operand for s in prep.sim.steps) == unmasked, chosen
+            assert prep.sim.fold is None and prep.gram is None, chosen

@@ -44,7 +44,7 @@ def _mirrored(conv, op, arrays, simplify):
     if mirror is None:
         return None
     prep = prep._replace(sim=mirror[0], gram=mirror[1])
-    return prep.run(ops._operands(prep.net, arrays, prep.sim.kept), prep.net.scale)
+    return prep.run(ops._operands(prep.net, arrays, prep.sim.kept))
 
 
 @pytest.mark.parametrize("simplify", [False, True])
@@ -74,11 +74,6 @@ def _spec(net):
     return einsum.parse(net.equation, [a.shape for a in net.operands], sizes=net.seeds)
 
 
-def _unmirrored(net):
-    """``net`` contracted as one network, with nothing known of its operands' sources."""
-    return ops.execute(dataclasses.replace(net, sources=()))
-
-
 def test_mirror_is_refused_when_the_halves_differ_in_one_dimspec():
     # both dims have I = 6, K = 2, O = 3, with different patterns
     strided, dilated = DimSpec(6, 2, 2), DimSpec(6, 2, 1, 0, 3)
@@ -94,9 +89,6 @@ def test_mirror_is_refused_when_the_halves_differ_in_one_dimspec():
         sources=sources,
     )
     assert ops._renaming(_spec(odd), odd.sources) is None
-    got = ops.execute(odd)
-    assert compare(got, _unmirrored(odd)) <= 1e-12
-    assert compare(got, ops.execute(net)) > 1e-3  # the two networks do differ
 
 
 def test_mirror_is_refused_when_the_output_is_not_symmetric():
@@ -105,27 +97,22 @@ def test_mirror_is_refused_when_the_output_is_not_symmetric():
     for out in ("g (c_in k1 k2) c_in_", "g (c_in k1 k2) (c_in_ k1_)", "g (c_in k1 k2) n"):
         lopsided = dataclasses.replace(net, equation=f"{lhs} -> {out}")
         assert ops._renaming(_spec(lopsided), lopsided.sources) is None, out
-        assert compare(ops.execute(lopsided), _unmirrored(lopsided)) <= 1e-12, out
     assert ops._renaming(_spec(net), net.sources) is not None
-    assert compare(ops.execute(net), _unmirrored(net)) <= 1e-12
 
 
 def test_mirror_needs_a_size_preserving_renaming_that_fixes_the_shared_indices():
     x = np.random.default_rng(2).standard_normal((3, 3))
     same = ops.Network("custom", "a b, a b ->", [x, x], {}, {}, sources=("x", "x"))
     assert ops._renaming(_spec(same), same.sources) == {"a": "a", "b": "b"}
-    assert np.isclose(ops.execute(same), np.sum(x * x), atol=1e-12)
     # a and b are shared but swapped: the value is tr(x @ x), not (sum x)^2
     crossed = dataclasses.replace(same, equation="a b, b a ->")
     assert ops._renaming(_spec(crossed), crossed.sources) is None
-    assert np.isclose(ops.execute(crossed), np.trace(x @ x), atol=1e-12)
     # one flat array of 6 read as (a b) = 2 x 3 and as (c d) = 3 x 2
     flat = x[:2].reshape(6)
     regrouped = ops.Network(
         "custom", "(a b), (c d) -> (a b) (c d)", [flat, flat], {}, {"a": 2, "c": 3}, sources=("x", "x")
     )
     assert ops._renaming(_spec(regrouped), regrouped.sources) is None
-    assert np.array_equal(ops.execute(regrouped), np.outer(flat, flat))
 
 
 @pytest.mark.parametrize("op", ["ggn_gram", "ggn_diagonal", "per_sample_ggn_diagonal", "kfac_expand_factor"])
@@ -186,12 +173,20 @@ def test_kfac_expand_transpose_is_the_gram_of_transpose_unfold():
 
 
 @pytest.mark.parametrize("simplify", [False, True])
-def test_execute_scales_by_the_callers_network(simplify):
-    # the cache key leaves the scale out: a cached network's scale must not leak
-    net = _network((DimSpec(5, 2), DimSpec(4, 2, 1, 1)))
-    assert net.scale == 0.5
-    halved = ops.execute(net, simplify)
-    doubled = ops.execute(dataclasses.replace(net, scale=2.0), simplify)
-    unscaled = ops.execute(dataclasses.replace(net, scale=None), simplify)
-    assert np.array_equal(doubled, 4 * halved)
-    assert np.array_equal(unscaled, 2 * halved)
+def test_run_op_applies_the_batch_mean_once(simplify):
+    # the 1/N scale sits in the cached network: a cold and a warm call each apply it once
+    conv = ConvSpec(3, 1, 2, 3, (DimSpec(5, 2), DimSpec(4, 2, 1, 1)))
+    rng = np.random.default_rng(6)
+    for op in OP_NAMES:
+        if not ops._OPS[op].batch_mean:
+            continue
+        arrays = make_inputs(conv, op, rng)
+        ops._PREP_CACHE.clear()
+        cold = run_op(conv, op, arrays, simplify=simplify)
+        warm = run_op(conv, op, arrays, simplify=simplify)
+        prep = ops._planned(conv, op, 2, simplify)
+        assert prep.net.scale == 1 / 3, op
+        unscaled = prep._replace(net=dataclasses.replace(prep.net, scale=None))
+        once = unscaled.run(ops._operands(prep.net, arrays, prep.sim.kept)) * (1 / 3)
+        assert np.array_equal(cold, once) and np.array_equal(warm, once), op
+        assert compare(warm, oracle_run(conv, op, arrays)) <= 1e-12, op

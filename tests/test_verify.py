@@ -2,11 +2,13 @@
 
 import dataclasses
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conv_tn import verify
+from conv_tn.cli import load_layers
 from conv_tn.ops import OP_NAMES, ConvSpec, input_shapes
 from conv_tn.pattern import DimSpec
 from conv_tn.verify import (
@@ -17,6 +19,8 @@ from conv_tn.verify import (
     run_verification,
     tn_run,
 )
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 
 
 def test_default_grid_produces_valid_specs():
@@ -80,6 +84,15 @@ def test_four_dimensional_layer_matches_references(simplify):
     report = run_verification([ConvSpec(2, 1, 2, 2, dims)], simplify=simplify)
     assert report.passed
     assert report.skipped == 0
+
+
+@pytest.mark.parametrize("simplify", [False, True])
+def test_benchmark_layers_match_references(simplify):
+    # the bundled layers, as the benchmark's fixtures_all_ops workload lists them
+    specs = [conv for _, conv in load_layers(str(WORKLOADS / "fixtures_all_ops.json"))]
+    report = run_verification(specs, simplify=simplify, tol=1e-12)
+    assert report.passed, report.lines()
+    assert all(r.cases for r in report.reports), report.lines()
 
 
 def test_unit_third_dimension_gives_the_two_dimensional_result():
