@@ -36,6 +36,7 @@ its term (a step result in the order of its ``result``), and the rule is:
 
 A strided window view from :mod:`.simplify` lists each kernel leg before its
 output leg, so its term order is the order a copy should read it in.
+Each plan holds the flat ``program`` that ``contract`` runs in one loop.
 """
 
 from __future__ import annotations
@@ -97,13 +98,9 @@ class EinsumSpec:
     output_term: tuple[Atom, ...]
     sizes: dict[str, int]
 
-    @property
-    def operand_indices(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(_flatten(t) for t in self.operand_terms)
-
-    @property
-    def output_indices(self) -> tuple[str, ...]:
-        return _flatten(self.output_term)
+    def __post_init__(self):  # the terms' flat index orders: taken once, and not compared
+        object.__setattr__(self, "operand_indices", tuple(_flatten(t) for t in self.operand_terms))
+        object.__setattr__(self, "output_indices", _flatten(self.output_term))
 
     def output_shape(self) -> tuple[int, ...]:
         return tuple(
@@ -125,24 +122,26 @@ def _parse_term(text: str) -> tuple[Atom, ...]:
     return tuple(atoms)
 
 
-def _check_structure(operand_terms, output_term) -> None:
+def _check_structure(operand_terms, output_term) -> set[str]:
+    """The indices the operands hold, once no term repeats one and the output's all appear."""
+    seen: set[str] = set()
     for term in operand_terms:
         flat = _flatten(term)
         if len(set(flat)) != len(flat):
             raise ParseError(f"repeated index within one operand: {flat}")
+        seen.update(flat)
     out_flat = _flatten(output_term)
     if len(set(out_flat)) != len(out_flat):
         raise ParseError(f"repeated index in output: {out_flat}")
-    seen = {i for term in operand_terms for i in _flatten(term)}
     for i in out_flat:
         if i not in seen:
             raise ParseError(f"output index {i!r} appears in no operand")
+    return seen
 
 
 def make_spec(operand_terms, output_term, sizes: dict[str, int]) -> EinsumSpec:
     """Assemble a spec from already-resolved terms (used by rewrites)."""
-    _check_structure(operand_terms, output_term)
-    needed = {i for term in operand_terms for i in _flatten(term)}
+    needed = _check_structure(operand_terms, output_term)
     missing = sorted(needed - sizes.keys())
     if missing:
         raise SizeConflict(f"no size for indices {missing}")
@@ -178,7 +177,7 @@ def parse(
     else:
         operand_terms = tuple(_parse_term(t) for t in term_texts)
         output_term = () if not rhs.strip() else _parse_term(rhs)
-    _check_structure(operand_terms, output_term)
+    all_indices = _check_structure(operand_terms, output_term)
 
     shapes = [tuple(int(s) for s in shape) for shape in operand_shapes]
     if len(shapes) != len(operand_terms):
@@ -189,7 +188,6 @@ def parse(
         if len(term) != len(shape):
             raise ShapeMismatch(f"term {term} does not fit shape {shape}")
 
-    all_indices = {i for term in operand_terms for i in _flatten(term)}
     known: dict[str, int] = {}
     for name, value in (sizes or {}).items():
         if name not in all_indices:
@@ -283,13 +281,21 @@ class PlanStep:
     shape: tuple[int, ...]
 
 
+def _needed(layout: Layout, shape: tuple[int, ...]) -> Layout | None:
+    """``layout``, or None where it would hand an array of ``shape`` on unchanged."""
+    changes = layout.presum or layout.perm is not None or layout.swapped or layout.shape != shape
+    return layout if changes else None
+
+
 @dataclass(frozen=True)
 class ContractionPlan:
     """The steps in execution order, with their cost.
 
     ``inputs`` holds each operand's shape and that shape with its grouped
     axes split; ``output`` turns the last result (or the only operand) into
-    the output.
+    the output.  ``program`` holds, per step, the positions of the two arrays
+    it reads, their layouts and its result's shape; ``finish`` is ``output``.
+    A layout that would hand its array on unchanged is None in both.
     """
 
     steps: tuple[PlanStep, ...]
@@ -297,6 +303,15 @@ class ContractionPlan:
     max_intermediate: int
     inputs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     output: Layout
+
+    def __post_init__(self):  # program and finish: taken once, and neither compared nor shown
+        shapes = [flat for _, flat in self.inputs] + [s.shape for s in self.steps]
+        program = tuple(
+            (s.left, s.right, _needed(s.lhs, shapes[s.left]), _needed(s.rhs, shapes[s.right]), s.shape)
+            for s in self.steps
+        )
+        object.__setattr__(self, "program", program)
+        object.__setattr__(self, "finish", _needed(self.output, shapes[-1]))
 
 
 def _prod_sizes(sizes: dict[str, int], indices) -> int:
@@ -542,19 +557,13 @@ def in_result_order(spec: EinsumSpec, plan_: ContractionPlan) -> tuple[EinsumSpe
     return spec, replace(plan_, output=output)
 
 
-def _product(step: PlanStep, left: Tensor, right: Tensor) -> Tensor:
-    lhs, rhs = step.lhs.apply(left), step.rhs.apply(right)
-    # an outer product: numpy's matmul is several times slower here than broadcasting
-    out = lhs * rhs if lhs.shape[-1] == 1 else np.matmul(lhs, rhs)
-    return out.reshape(step.shape)
-
-
 def contract(spec: EinsumSpec, operands, plan_: ContractionPlan | None = None) -> Tensor:
     """Execute the contraction and return the grouped output tensor.
 
-    Operands are checked against the plan's shapes.  Each step reads its
-    operands in the layouts the plan fixed, so execution decides nothing.
-    Any valid plan over the same spec yields the same values.
+    Operands are checked against the plan's shapes.  One loop runs the
+    plan's ``program``, each step reading its operands in the layouts the
+    plan fixed, so execution decides nothing.  Any valid plan over the same
+    spec yields the same values.
     """
     if len(operands) != len(spec.operand_terms):
         raise ShapeMismatch(
@@ -562,7 +571,7 @@ def contract(spec: EinsumSpec, operands, plan_: ContractionPlan | None = None) -
         )
     if plan_ is None:
         plan_ = plan(spec)
-    env: dict[int, Tensor] = {}
+    arrays: list = []
     for pos, (arr, (shape, flat)) in enumerate(zip(operands, plan_.inputs)):
         arr = np.asarray(arr, dtype=np.float64)
         if arr.shape != shape:
@@ -570,10 +579,19 @@ def contract(spec: EinsumSpec, operands, plan_: ContractionPlan | None = None) -
                 f"operand {pos}: shape {arr.shape} does not fit term"
                 f" {spec.operand_terms[pos]}, which needs {shape}"
             )
-        env[pos] = arr.reshape(flat)
-    for next_id, step in enumerate(plan_.steps, len(operands)):
-        env[next_id] = _product(step, env.pop(step.left), env.pop(step.right))
-    (last,) = env.values()
-    out = plan_.output.apply(last)
+        arrays.append(arr.reshape(flat))
+    for left, right, lhs_layout, rhs_layout, shape in plan_.program:
+        lhs, rhs = arrays[left], arrays[right]
+        arrays[left] = arrays[right] = None  # each array feeds one step
+        if lhs_layout is not None:
+            lhs = lhs_layout.apply(lhs)
+        if rhs_layout is not None:
+            rhs = rhs_layout.apply(rhs)
+        # an outer product: numpy's matmul is several times slower here than broadcasting
+        out = lhs * rhs if lhs.shape[-1] == 1 else np.matmul(lhs, rhs)
+        arrays.append(out.reshape(shape))
+    out = arrays[-1]
+    if plan_.finish is not None:
+        out = plan_.finish.apply(out)
     # ascontiguousarray would silently promote a 0-d result to shape (1,)
     return np.ascontiguousarray(out) if out.ndim else out

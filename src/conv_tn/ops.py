@@ -23,10 +23,10 @@ group; the grouped axis ``(g c_out)`` is the full channel dimension.  The
 
 Every call, ``crs``'s too, takes one path.  A network is parsed, rewritten (with no
 pattern roles when simplify is off, which removes nothing) and planned from
-shapes alone, and cached on (op, layer, columns, simplify).  A warm call
-formats no equation, parses nothing and fetches only the pattern tables
-that the rewrites keep; it gathers, contracts, folds, takes the Gram of a
-mirrored network's half, and scales, each where the prepared network has it.
+shapes alone, and cached on (op, layer, columns, simplify) with the list of
+arrays and pattern tables a call fills its operands from.  A warm call
+checks each array's shape, then gathers, contracts, folds, takes the Gram of
+a mirrored network's half, and scales, each where the prepared network has it.
 """
 
 from __future__ import annotations
@@ -277,29 +277,39 @@ def _columns(op: str, arrays: dict) -> int:
     ``s``, or with a 0-d one that the shape check then refuses, it is 2.
     """
     names = _expanded(op, 1)[2]
-    # the names are distinct, so this holds exactly when the keys are the names
-    if len(arrays) != len(names) or any(arrays.get(name) is None for name in names):
+    # the names are distinct, so this holds exactly when the keys are the names (a loop is faster)
+    fits = len(arrays) == len(names)
+    for name in names:
+        fits = fits and arrays.get(name) is not None
+    if not fits:
         raise TypeError(f"{op}() takes the arrays ({', '.join(names)})")
     shape = np.shape(arrays["s"]) if "s" in arrays else ()
     return int(shape[0]) if shape else 2
 
 
-def _operands(net: Network, arrays: dict, keep) -> list:
-    """``net``'s operands at the positions in ``keep``, None elsewhere.
-
-    The arrays' shapes are checked and the pattern tables fetched.
-    """
-    out: list = [None] * len(net.sources)
+def _program(net: Network, keep) -> tuple[tuple, tuple]:
+    """The operand list a call starts from, with the pattern tables in ``keep``, and per data
+    operand in ``keep`` its ``(position, array name, squared, shape)``."""
+    operands: list = [None] * len(net.sources)
+    args = []
     for pos in keep:
-        src, shape = net.sources[pos], net.operands[pos].shape
-        if not isinstance(src, str):
-            out[pos] = _table(*src)
-        else:
+        src = net.sources[pos]
+        if isinstance(src, str):
             name = src.removesuffix("^2")
-            a = np.asarray(arrays[name], dtype=np.float64)
-            if a.shape != shape:
-                raise ShapeMismatch(f"{net.op}: {name} has shape {a.shape}, expected {shape}")
-            out[pos] = a if name == src else a * a
+            args.append((pos, name, name != src, net.operands[pos].shape))
+        elif src is not None:
+            operands[pos] = _table(*src)
+    return tuple(operands), tuple(args)
+
+
+def _operands(op: str, operands: tuple, args: tuple, arrays: dict) -> list:
+    """``operands`` with the arrays ``args`` name filled in, each checked against its shape."""
+    out = list(operands)
+    for pos, name, squared, shape in args:
+        a = np.asarray(arrays[name], dtype=np.float64)
+        if a.shape != shape:
+            raise ShapeMismatch(f"{op}: {name} has shape {a.shape}, expected {shape}")
+        out[pos] = a * a if squared else a
     return out
 
 
@@ -341,7 +351,7 @@ def build_network(
     scale = 1.0 / conv.batch if entry.batch_mean else None
     net = Network(op, eq, placeholders, roles, seeds, scale, sources)
     if arrays is not None:
-        net.operands = _operands(net, arrays, range(len(sources)))
+        net.operands = _operands(op, *_program(net, range(len(sources))), arrays)
     return net
 
 
@@ -430,17 +440,22 @@ def _mirror(net: Network, spec: einsum.EinsumSpec, roles: dict) -> tuple[Simplif
 
 
 class _Prepared(NamedTuple):
-    """One network, rewritten and planned: the one thing a call runs.
+    """One network, rewritten, planned and compiled: the one thing a call runs.
 
     ``sim`` holds the rewrites (none without simplify) and the plan of the
-    network, or of its first half when ``gram`` is set.  ``run`` applies the
-    gathers, contracts, folds, takes the Gram if there is one, and scales.
+    network, or of its first half when ``gram`` is set; ``operands`` and
+    ``args`` are ``_program``'s for the operands it keeps.  ``run`` applies
+    the gathers, contracts, folds, takes the Gram if there is one, copies a
+    result that is a view of the operand at ``alias``, and scales in place.
     """
 
     net: Network  # the network it was planned from, with zero placeholders as operands
     spec: einsum.EinsumSpec
     sim: SimplifyResult
     gram: _Gram | None
+    operands: tuple
+    args: tuple
+    alias: int | None
 
     def run(self, operands) -> Tensor:
         sim, gram, scale = self.sim, self.gram, self.net.scale
@@ -449,7 +464,11 @@ class _Prepared(NamedTuple):
             out = sim.fold.apply(out)
         if gram is not None:
             out = einsum.contract(gram.spec, (out, out if gram.shared else out.copy()), gram.plan)
-        return out if scale is None else out * scale
+        elif self.alias is not None and np.may_share_memory(out, operands[self.alias]):
+            out = out.copy()
+        if scale is not None:
+            out *= scale
+        return out
 
 
 _PREP_CACHE: dict = {}
@@ -484,7 +503,9 @@ def _prepare(key, make_net, use_simplify: bool) -> _Prepared:
             else:
                 if mirror is None or mirror[1].cost(mirror[0].plan).flops > full.plan.flops:
                     mirror = full, None
-        hit = _Prepared(net, spec, *mirror)
+        sim, gram = mirror
+        stepless = gram is None and sim.fold is None and not sim.plan.steps and not sim.plan.output.presum
+        hit = _Prepared(net, spec, sim, gram, *_program(net, sim.kept), sim.kept[0] if stepless else None)
         if len(_PREP_CACHE) >= 4096:
             _PREP_CACHE.clear()
         _PREP_CACHE[key] = hit
@@ -520,8 +541,9 @@ def run_op(
     simplify: bool = False,
 ) -> Tensor:
     """Contract ``op``'s network over ``arrays``, exactly the arrays ``op`` names."""
-    prep = _planned(conv, op, _columns(op, arrays), simplify)
-    return prep.run(_operands(prep.net, arrays, prep.sim.kept))
+    columns = _columns(op, arrays)
+    prep = _PREP_CACHE.get((op, conv, columns, simplify)) or _planned(conv, op, columns, simplify)
+    return prep.run(_operands(op, prep.operands, prep.args, arrays))
 
 
 def op_cost(conv: ConvSpec, op: str, *, columns: int = 2) -> OpCosts:

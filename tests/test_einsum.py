@@ -7,7 +7,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conv_tn import ops
@@ -329,11 +329,29 @@ def small_specs(draw):
     return spec, operands
 
 
+def _case(equation, shapes):
+    rng = np.random.default_rng(len(equation))
+    return parse(equation, shapes), [rng.standard_normal(shape) for shape in shapes]
+
+
+# plans with no step (one of them with nothing to do at all), and steps
+# whose operands are only summed before the GEMM
+NO_STEP = _case("a b -> a b", [(2, 3)]), _case("a b c -> c a", [(2, 3, 4)]), _case("a b -> ", [(2, 3)])
+PRESUM_ONLY = _case("a b, b c d -> a c", [(2, 3), (3, 4, 5)]), _case("a b e, b c -> a", [(2, 3, 2), (3, 4)])
+
+
 @given(small_specs())
+@example(NO_STEP[0])
+@example(NO_STEP[1])
+@example(NO_STEP[2])
+@example(PRESUM_ONLY[0])
+@example(PRESUM_ONLY[1])
 @settings(max_examples=120, deadline=None)
 def test_contract_matches_nested_loops(case):
     spec, operands = case
-    assert max_rel_err(contract(spec, operands), naive_contract(spec, operands)) <= 1e-12
+    want = naive_contract(spec, operands)
+    assert max_rel_err(contract(spec, operands), want) <= 1e-12
+    assert max_rel_err(contract(spec, operands, left_deep_plan(spec)), want) <= 1e-12
 
 
 @given(small_specs())
@@ -358,11 +376,11 @@ def test_operand_commutativity(case):
 
 
 @given(small_specs())
+@example(NO_STEP[1])
+@example(PRESUM_ONLY[0])
 @settings(max_examples=60, deadline=None)
 def test_plan_independence(case):
     spec, operands = case
-    if len(operands) < 2:
-        return
     optimal = contract(spec, operands, plan(spec))
     chain = contract(spec, operands, left_deep_plan(spec))
     assert max_rel_err(chain, optimal) <= 1e-12

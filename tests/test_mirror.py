@@ -44,7 +44,7 @@ def _mirrored(conv, op, arrays, simplify):
     if mirror is None:
         return None
     prep = prep._replace(sim=mirror[0], gram=mirror[1])
-    return prep.run(ops._operands(prep.net, arrays, prep.sim.kept))
+    return prep.run(ops._operands(op, *ops._program(prep.net, prep.sim.kept), arrays))
 
 
 @pytest.mark.parametrize("simplify", [False, True])
@@ -187,6 +187,6 @@ def test_run_op_applies_the_batch_mean_once(simplify):
         prep = ops._planned(conv, op, 2, simplify)
         assert prep.net.scale == 1 / 3, op
         unscaled = prep._replace(net=dataclasses.replace(prep.net, scale=None))
-        once = unscaled.run(ops._operands(prep.net, arrays, prep.sim.kept)) * (1 / 3)
+        once = unscaled.run(ops._operands(op, prep.operands, prep.args, arrays)) * (1 / 3)
         assert np.array_equal(cold, once) and np.array_equal(warm, once), op
         assert compare(warm, oracle_run(conv, op, arrays)) <= 1e-12, op

@@ -3,7 +3,9 @@
 import dataclasses
 import itertools
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conv_tn import crs, einsum, ops
+from conv_tn.cli import load_layers
 from conv_tn.oracle import direct_conv, direct_unfold, toeplitz
 from conv_tn.ops import (
     OP_NAMES,
@@ -103,6 +106,76 @@ def test_operand_shape_checked(small):
         conv_forward(small, x[:, :, :2], w)
     with pytest.raises(ShapeMismatch):
         weight_vjp(small, x, np.zeros((2, 3, 1, 1)))
+
+
+@pytest.mark.parametrize("simplify", [False, True])
+def test_warm_calls_check_every_array_shape(simplify):
+    # a plain array, a squared one (x^2) and one the rewrites gather (x, with simplify on)
+    conv = ConvSpec(2, 1, 2, 3, (DimSpec(6, 3, 1, 1), DimSpec(5, 2, 2)))
+    rng = np.random.default_rng(9)
+    for op, name in (("conv_forward", "w"), ("hesscale_weight_diag", "x"), ("conv_forward", "x")):
+        arrays = {k: rng.standard_normal(v) for k, v in input_shapes(conv, op).items()}
+        bad = dict(arrays, **{name: arrays[name][..., :-1]})
+        ops._PREP_CACHE.clear()
+        for _ in ("cold", "warm"):
+            with pytest.raises(ShapeMismatch, match=rf"^{op}: {name} has shape"):
+                run_op(conv, op, bad, simplify=simplify)
+            assert len(ops._PREP_CACHE) == 1, op  # the next call is warm
+        [prep] = ops._PREP_CACHE.values()
+        gathered = {n for pos, n, *_ in prep.args if pos in prep.sim.gathers}
+        assert (name in gathered) == (simplify and name == "x"), (op, name)
+        assert compare(run_op(conv, op, arrays, simplify=simplify), oracle_run(conv, op, arrays)) <= 1e-12
+
+
+@pytest.mark.parametrize("simplify", [False, True])
+def test_results_never_alias_the_callers_arrays(simplify):
+    # a 1x1, stride-1, unpadded layer gathers its input as a plain reshape
+    # view: unfold_input and im2col_jvp must still hand back a fresh array
+    rng = np.random.default_rng(12)
+    for name, conv in load_layers(None):
+        for op in OP_NAMES:
+            if op == "unfold_kernel" and conv.groups != 1:
+                continue
+            arrays = {k: rng.standard_normal(v) for k, v in input_shapes(conv, op).items()}
+            out = run_op(conv, op, arrays, simplify=simplify)
+            for key, a in arrays.items():
+                assert not np.shares_memory(out, a), (name, op, key)
+
+
+# conv_tn's named Python frames in one warm run_op on the layer below (a
+# comprehension or generator is not counted, so Python 3.11 and 3.12 agree)
+WARM_FRAMES = {
+    ("conv_forward", False): 14,
+    ("conv_forward", True): 11,
+    ("input_vjp", False): 14,
+    ("input_vjp", True): 12,
+    ("kfac_expand_factor", False): 16,
+    ("kfac_expand_factor", True): 13,
+    ("hesscale_weight_diag", False): 14,
+    ("hesscale_weight_diag", True): 11,
+}
+
+
+def test_warm_calls_stay_within_their_frame_budget():
+    conv = ConvSpec(2, 1, 2, 3, (DimSpec(6, 3, 1, 1), DimSpec(5, 2, 2)))
+    root = str(Path(ops.__file__).parent)
+    rng = np.random.default_rng(10)
+    for (op, simplify), budget in WARM_FRAMES.items():
+        arrays = make_inputs(conv, op, rng)
+        run_op(conv, op, arrays, simplify=simplify)
+        frames = []
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_filename.startswith(root) and not code.co_name.startswith("<"):
+                frames.append(code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            run_op(conv, op, arrays, simplify=simplify)
+        finally:
+            sys.setprofile(None)
+        assert len(frames) <= budget, (op, simplify, frames)
 
 
 def test_conv_equals_kernel_matrix_times_unfold(small):
