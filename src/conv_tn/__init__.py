@@ -1,10 +1,13 @@
 """Convolutions as tensor networks over binary index patterns.
 
-The package splits into a generic contraction engine (``einsum``), the
-index-pattern algebra (``pattern``), the operation layer that wires
-convolution workloads into contractions (``ops``), structural rewrites
-(``simplify``), loop-based references (``oracle``, ``verify``), randomized
-gradient estimation (``crs``), and a small CLI (``cli``).
+The public API is the operation layer (``ops``: one function per op,
+``run_op`` and ``op_cost``), the index-pattern algebra (``pattern``),
+randomized gradient estimation (``crs``), loop-based references (``oracle``,
+``verify``) and a small CLI (``cli``).  The contraction engine (``einsum``)
+and the structural rewrites (``simplify``) are internal layers: they run
+only the networks ``ops`` builds, on arrays it has already checked.
+``RewriteKind`` and ``RewriteStep`` are exported because ``OpCosts.rewrites``
+returns them.
 """
 
 from .crs import (
@@ -15,18 +18,6 @@ from .crs import (
     crs_weight_vjp,
     masked_weight_vjp,
     normalized_error,
-)
-from .einsum import (
-    ContractionPlan,
-    EinsumSpec,
-    ParseError,
-    PlanStep,
-    SizeConflict,
-    UnderdeterminedGroup,
-    contract,
-    make_spec,
-    parse,
-    plan,
 )
 from .oracle import (
     GgnOracle,
@@ -78,12 +69,7 @@ from .pattern import (
     output_size,
     pattern,
 )
-from .simplify import (
-    RewriteKind,
-    RewriteStep,
-    SimplifyResult,
-    simplify_structure,
-)
+from .simplify import RewriteKind, RewriteStep
 from .tensor import ShapeMismatch, Tensor, Unsupported, max_rel_err
 from .verify import (
     OpReport,

@@ -77,7 +77,6 @@ _ATOM = rf"(?:{_INDEX}|{_GROUP})"
 _TERM_RE = re.compile(rf"\s*{_ATOM}(?:\s+{_ATOM})*\s*")
 _ATOM_RE = re.compile(_ATOM)
 _INDEX_RE = re.compile(_INDEX)
-_COMPACT_RE = re.compile(r"\s*[a-z]+\s*(?:,\s*[a-z]+\s*)*->\s*[a-z]*\s*")
 
 
 def _flatten(term: tuple[Atom, ...]) -> tuple[str, ...]:
@@ -159,11 +158,8 @@ def parse(
     like ``(g c_in)`` with two unknown members become resolvable.  Without a
     sufficient seed such a group raises :class:`UnderdeterminedGroup`.
 
-    Two spellings are accepted.  The primary form separates atoms with
-    whitespace ("n (g c) i1, i1 o1 k1 -> ..."), so an index name may have
-    several characters.  An equation whose terms are bare letter runs with
-    no spaces, groups, digits, or underscores ("ij,jk->ik") is read in the
-    classic letter-per-axis style instead.
+    Atoms are separated by whitespace ("n (g c) i1, i1 o1 k1 -> ..."), so an
+    index name may have several characters: "ab -> ab" has one index.
     """
     if equation.count("->") != 1:
         raise ParseError("equation needs exactly one '->'")
@@ -171,12 +167,8 @@ def parse(
     term_texts = lhs.split(",")
     if any(not t.strip() for t in term_texts):
         raise ParseError("empty operand term")
-    if _COMPACT_RE.fullmatch(equation):
-        operand_terms = tuple(tuple(t.strip()) for t in term_texts)
-        output_term: tuple[Atom, ...] = tuple(rhs.strip())
-    else:
-        operand_terms = tuple(_parse_term(t) for t in term_texts)
-        output_term = () if not rhs.strip() else _parse_term(rhs)
+    operand_terms = tuple(_parse_term(t) for t in term_texts)
+    output_term = () if not rhs.strip() else _parse_term(rhs)
     all_indices = _check_structure(operand_terms, output_term)
 
     shapes = [tuple(int(s) for s in shape) for shape in operand_shapes]
@@ -557,29 +549,17 @@ def in_result_order(spec: EinsumSpec, plan_: ContractionPlan) -> tuple[EinsumSpe
     return spec, replace(plan_, output=output)
 
 
-def contract(spec: EinsumSpec, operands, plan_: ContractionPlan | None = None) -> Tensor:
-    """Execute the contraction and return the grouped output tensor.
+def contract(spec: EinsumSpec, operands, plan_: ContractionPlan) -> Tensor:
+    """Execute ``plan_`` for ``spec`` and return the grouped output tensor.
 
-    Operands are checked against the plan's shapes.  One loop runs the
-    plan's ``program``, each step reading its operands in the layouts the
-    plan fixed, so execution decides nothing.  Any valid plan over the same
-    spec yields the same values.
+    The operands are trusted: each must be a float64 array of its term's
+    shape, which the op layer (``ops``, and ``crs`` for its narrowed
+    arrays) checks once per call.  Each is reshaped to its flat shape, and
+    one loop runs the plan's ``program``, each step reading its operands in
+    the layouts the plan fixed, so execution decides nothing.  Any valid
+    plan over the same spec yields the same values.
     """
-    if len(operands) != len(spec.operand_terms):
-        raise ShapeMismatch(
-            f"spec has {len(spec.operand_terms)} operands, got {len(operands)}"
-        )
-    if plan_ is None:
-        plan_ = plan(spec)
-    arrays: list = []
-    for pos, (arr, (shape, flat)) in enumerate(zip(operands, plan_.inputs)):
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.shape != shape:
-            raise ShapeMismatch(
-                f"operand {pos}: shape {arr.shape} does not fit term"
-                f" {spec.operand_terms[pos]}, which needs {shape}"
-            )
-        arrays.append(arr.reshape(flat))
+    arrays = [arr.reshape(flat) for arr, (_, flat) in zip(operands, plan_.inputs)]
     for left, right, lhs_layout, rhs_layout, shape in plan_.program:
         lhs, rhs = arrays[left], arrays[right]
         arrays[left] = arrays[right] = None  # each array feeds one step

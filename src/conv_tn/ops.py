@@ -25,8 +25,9 @@ Every call, ``crs``'s too, takes one path.  A network is parsed, rewritten (with
 pattern roles when simplify is off, which removes nothing) and planned from
 shapes alone, and cached on (op, layer, columns, simplify) with the list of
 arrays and pattern tables a call fills its operands from.  A warm call
-checks each array's shape, then gathers, contracts, folds, takes the Gram of
-a mirrored network's half, and scales, each where the prepared network has it.
+converts each array to float64 and checks its shape, the only check it
+makes, then gathers, contracts, folds, takes the Gram of a mirrored
+network's half, and scales, each where the prepared network has it.
 """
 
 from __future__ import annotations
@@ -110,7 +111,6 @@ class Network:
     halves hold the same sources may be contracted as one half and its Gram.
     """
 
-    op: str
     equation: str
     operands: list[Tensor]
     roles: dict[int, DimSpec]
@@ -303,7 +303,11 @@ def _program(net: Network, keep) -> tuple[tuple, tuple]:
 
 
 def _operands(op: str, operands: tuple, args: tuple, arrays: dict) -> list:
-    """``operands`` with the arrays ``args`` name filled in, each checked against its shape."""
+    """``operands`` with the arrays ``args`` name filled in, each checked against its shape.
+
+    This is where an outside array is converted to float64 and checked, once
+    per call; the rewrites and ``einsum.contract`` below trust what they get.
+    """
     out = list(operands)
     for pos, name, squared, shape in args:
         a = np.asarray(arrays[name], dtype=np.float64)
@@ -349,7 +353,7 @@ def build_network(
         placeholders.append(np.broadcast_to(0.0, shape))
     seeds = {"g": conv.groups} if "(g " in eq else {}
     scale = 1.0 / conv.batch if entry.batch_mean else None
-    net = Network(op, eq, placeholders, roles, seeds, scale, sources)
+    net = Network(eq, placeholders, roles, seeds, scale, sources)
     if arrays is not None:
         net.operands = _operands(op, *_program(net, range(len(sources))), arrays)
     return net

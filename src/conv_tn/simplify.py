@@ -38,7 +38,7 @@ import numpy as np
 
 from . import einsum
 from .pattern import DimSpec, output_size
-from .tensor import ShapeMismatch, Tensor
+from .tensor import Tensor
 
 
 class RewriteKind(enum.Enum):
@@ -50,7 +50,6 @@ class RewriteKind(enum.Enum):
 class RewriteStep:
     kind: RewriteKind
     operand: int
-    detail: str
 
 
 def _c_strides(shape) -> list[int]:
@@ -66,9 +65,9 @@ class Gather:
     padded) and ``interior`` the slice of it the operand fills; ``shape``
     and ``strides`` describe the view, in which every gathered axis ``i``
     is the pair ``(k, o)`` reading ``x_padded[..., k*D + o*S, ...]``.
+    ``apply`` trusts its array to be float64 of the operand's shape.
     """
 
-    in_shape: tuple[int, ...]
     padded: tuple[int, ...] | None
     interior: tuple[slice, ...]
     shape: tuple[int, ...]
@@ -89,11 +88,9 @@ class Gather:
                 shape += [d.kernel_size, output_size(d)]
                 strides += [d.dilation * st, d.stride * st]
         interior = tuple(slice(pads.get(a, 0), pads.get(a, 0) + n) for a, n in enumerate(in_shape))
-        return cls(tuple(in_shape), base if pads else None, interior, tuple(shape), tuple(strides))
+        return cls(base if pads else None, interior, tuple(shape), tuple(strides))
 
     def apply(self, arr: Tensor) -> Tensor:
-        if arr.shape != self.in_shape:
-            raise ShapeMismatch(f"gather expects shape {self.in_shape}, got {arr.shape}")
         if self.padded is None:
             buf = np.ascontiguousarray(arr)
         else:
@@ -234,7 +231,7 @@ class SimplifyResult:
     contraction into the network's output.  Without pattern roles nothing
     is rewritten: ``kept`` holds every position, ``spec`` is the network's,
     ``plan`` is ``einsum.plan``'s for it, and ``apply`` passes the operands
-    through.
+    through.  ``apply`` neither converts nor checks: the op layer has.
     """
 
     spec: einsum.EinsumSpec
@@ -247,8 +244,7 @@ class SimplifyResult:
     def apply(self, operands) -> list:
         gathers = self.gathers
         return [
-            operands[p] if p not in gathers else gathers[p].apply(np.asarray(operands[p], dtype=np.float64))
-            for p in self.kept
+            operands[p] if p not in gathers else gathers[p].apply(operands[p]) for p in self.kept
         ]
 
 
@@ -297,10 +293,6 @@ def simplify_structure(
             a_pos = terms[target].index(i_name)
             terms[target][a_pos : a_pos + 1] = [k_name, o_name]
             kind = RewriteKind.GATHER
-            detail = (
-                f"pattern {dim} removed; axis {i_name} of operand {target} read as"
-                f" strided windows ({k_name} {o_name})"
-            )
         else:
             other_names = names_of(others)
             k_holders = [p for p in others if k_name in names_of([p])]
@@ -319,10 +311,6 @@ def simplify_structure(
                     continue
                 out_names[a_pos] = k_name
                 out_names.remove(o_name)
-                detail = (
-                    f"pattern {dim} removed; leg {k_name} of operand {k_holders[0]}"
-                    f" written along the ({o_name} {i_name}) diagonal"
-                )
             else:
                 if o_name not in other_names or (k_holders and k_in_output):
                     continue
@@ -330,16 +318,12 @@ def simplify_structure(
                 out_names[a_pos : a_pos + 1] = legs
                 if k_in_output:
                     out_names.remove(k_name)
-                detail = (
-                    f"pattern {dim} removed; output leg {i_name} produced as"
-                    f" ({' '.join(legs)}) and folded back"
-                )
             folds.append(
                 _FoldDim(i_name, o_name, k_name, dim, bool(k_holders), k_in_output, diagonal)
             )
             kind = RewriteKind.FOLD
         alive.remove(pos)
-        steps.append(RewriteStep(kind, pos, detail))
+        steps.append(RewriteStep(kind, pos))
 
     new_spec = spec  # unless a rewrite fired
     if steps:

@@ -3,13 +3,14 @@
 Every operation is run twice: once through the tensor-network engine and
 once through a plain loop-based reference, then compared at a pinned
 tolerance.  The references here are deliberately naive compositions of the
-primitives in ``oracle`` (unfold, Toeplitz matrix, explicit Jacobian); the
-only shared machinery is the index-pattern builder itself.
+primitives in ``oracle`` (its taps, unfold, Toeplitz matrix, explicit
+Jacobian).  None reads the index-pattern builder: each walks the kernel
+windows that ``oracle`` computes from the hyper-parameters, so a wrong
+pattern table shows as a failure.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from . import ops
 from .oracle import (
+    _taps,
     direct_conv,
     direct_transpose_unfold,
     direct_unfold,
@@ -24,20 +26,15 @@ from .oracle import (
     toeplitz,
 )
 from .ops import ConvSpec, WeightVjp
-from .pattern import DimSpec, pattern
+from .pattern import DimSpec
 from .tensor import Tensor, Unsupported, max_rel_err
-
-
-def _triple_products(conv: ConvSpec):
-    """Joint nonzero entries of the per-dimension patterns, as (i, o, k) index tuples."""
-    for ts in itertools.product(*(pattern(d).triples() for d in conv.dims)):
-        yield tuple(zip(*ts))
 
 
 def oracle_fold_output(conv: ConvSpec, y_like: Tensor) -> Tensor:
     out = np.zeros((conv.batch, conv.c_in, *conv.input_sizes))
-    for i, o, _ in _triple_products(conv):
-        out[(slice(None), slice(None), *i)] += y_like[(slice(None), slice(None), *o)]
+    for o, taps in _taps(conv):
+        for _, i in taps:
+            out[(slice(None), slice(None), *i)] += y_like[(slice(None), slice(None), *o)]
     return out
 
 
@@ -45,11 +42,12 @@ def oracle_weight_vjp(conv: ConvSpec, x: Tensor, v_y: Tensor) -> WeightVjp:
     cig = conv.c_in // conv.groups
     cog = conv.c_out // conv.groups
     vw = np.zeros((conv.c_out, cig, *conv.kernel_sizes))
-    for i, o, k in _triple_products(conv):
-        for g in range(conv.groups):
-            xs = x[(slice(None), slice(g * cig, (g + 1) * cig), *i)]
-            vs = v_y[(slice(None), slice(g * cog, (g + 1) * cog), *o)]
-            vw[(slice(g * cog, (g + 1) * cog), slice(None), *k)] += vs.T @ xs
+    for o, taps in _taps(conv):
+        for k, i in taps:
+            for g in range(conv.groups):
+                xs = x[(slice(None), slice(g * cig, (g + 1) * cig), *i)]
+                vs = v_y[(slice(None), slice(g * cog, (g + 1) * cog), *o)]
+                vw[(slice(g * cog, (g + 1) * cog), slice(None), *k)] += vs.T @ xs
     bias = v_y.sum(axis=(0, *range(2, 2 + conv.nd))) if conv.has_bias else None
     return WeightVjp(vw, bias)
 
@@ -58,13 +56,14 @@ def oracle_per_sample_weight_vjp(conv: ConvSpec, x: Tensor, v_y: Tensor) -> Tens
     cig = conv.c_in // conv.groups
     cog = conv.c_out // conv.groups
     out = np.zeros((conv.batch, conv.c_out, cig, *conv.kernel_sizes))
-    for i, o, k in _triple_products(conv):
-        for g in range(conv.groups):
-            xs = x[(slice(None), slice(g * cig, (g + 1) * cig), *i)]
-            vs = v_y[(slice(None), slice(g * cog, (g + 1) * cog), *o)]
-            out[(slice(None), slice(g * cog, (g + 1) * cog), slice(None), *k)] += (
-                vs[:, :, None] * xs[:, None, :]
-            )
+    for o, taps in _taps(conv):
+        for k, i in taps:
+            for g in range(conv.groups):
+                xs = x[(slice(None), slice(g * cig, (g + 1) * cig), *i)]
+                vs = v_y[(slice(None), slice(g * cog, (g + 1) * cog), *o)]
+                out[(slice(None), slice(g * cog, (g + 1) * cog), slice(None), *k)] += (
+                    vs[:, :, None] * xs[:, None, :]
+                )
     return out
 
 
@@ -72,29 +71,37 @@ def oracle_input_vjp(conv: ConvSpec, w: Tensor, v_y: Tensor) -> Tensor:
     cig = conv.c_in // conv.groups
     cog = conv.c_out // conv.groups
     out = np.zeros((conv.batch, conv.c_in, *conv.input_sizes))
-    for i, o, k in _triple_products(conv):
-        for g in range(conv.groups):
-            vs = v_y[(slice(None), slice(g * cog, (g + 1) * cog), *o)]
-            ws = w[(slice(g * cog, (g + 1) * cog), slice(None), *k)]
-            out[(slice(None), slice(g * cig, (g + 1) * cig), *i)] += vs @ ws
+    for o, taps in _taps(conv):
+        for k, i in taps:
+            for g in range(conv.groups):
+                vs = v_y[(slice(None), slice(g * cog, (g + 1) * cog), *o)]
+                ws = w[(slice(g * cog, (g + 1) * cog), slice(None), *k)]
+                out[(slice(None), slice(g * cig, (g + 1) * cig), *i)] += vs @ ws
     return out
 
 
 def oracle_im2col_vjp(conv: ConvSpec, v_u: Tensor) -> Tensor:
     kp = math.prod(conv.kernel_sizes)
     out = np.zeros((conv.batch, conv.c_in, *conv.input_sizes))
-    for i, o, k in _triple_products(conv):
-        kflat = np.ravel_multi_index(k, conv.kernel_sizes)
+    for o, taps in _taps(conv):
         oflat = np.ravel_multi_index(o, conv.out_sizes)
-        out[(slice(None), slice(None), *i)] += v_u[:, kflat::kp, oflat]
+        for k, i in taps:
+            kflat = np.ravel_multi_index(k, conv.kernel_sizes)
+            out[(slice(None), slice(None), *i)] += v_u[:, kflat::kp, oflat]
     return out
 
 
 def _averaged_unfold(conv: ConvSpec, a: Tensor, legs: str) -> Tensor:
-    """``a``'s spatial axes contracted with the averaged patterns ``legs``, one row per sample."""
-    for d in conv.dims:
-        a = np.tensordot(a, getattr(pattern(d), legs), axes=([2], [0]))
-    return a.reshape(conv.batch, -1)
+    """``a`` summed onto kernel offsets, one row per sample: ``legs`` ``"ik"`` reads ``a``
+    at each tap's input position and averages over the output positions, ``"ok"`` reads
+    it at the tap's output position and averages over the input positions."""
+    out = np.zeros((conv.batch, a.shape[1], *conv.kernel_sizes))
+    for o, taps in _taps(conv):
+        for k, i in taps:
+            at = i if legs == "ik" else o
+            out[(slice(None), slice(None), *k)] += a[(slice(None), slice(None), *at)]
+    sizes = conv.out_sizes if legs == "ik" else conv.input_sizes
+    return out.reshape(conv.batch, -1) / math.prod(sizes)
 
 
 def _gram_per_group(rows: Tensor, groups: int, batch: int) -> Tensor:

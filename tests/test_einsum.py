@@ -112,7 +112,7 @@ def chain_spec(n_ops):
 
 
 def test_parse_matrix_product_sizes():
-    spec = parse("ij,jk->ik", [(2, 3), (3, 4)])
+    spec = parse("i j, j k -> i k", [(2, 3), (3, 4)])
     assert spec.sizes == {"i": 2, "j": 3, "k": 4}
     assert spec.operand_indices == (("i", "j"), ("j", "k"))
 
@@ -122,10 +122,16 @@ def test_parse_spaced_multichar_names():
     assert spec.sizes == {"c_in": 3, "i1": 5}
 
 
-def test_compact_style_beats_whole_name_reading():
-    # bare letter runs with no spaces read letter-per-axis
-    spec = parse("ab,ab->ab", [(2, 3), (2, 3)])
-    assert spec.sizes == {"a": 2, "b": 3}
+@pytest.mark.parametrize(
+    "equation, shapes, sizes",
+    [
+        ("row, row -> row", [(2,), (2,)], {"row": 2}),
+        ("ab -> ab", [(5,)], {"ab": 5}),
+        ("ab,ab->ab", [(2,), (2,)], {"ab": 2}),
+    ],
+)
+def test_a_run_of_letters_is_one_index(equation, shapes, sizes):
+    assert parse(equation, shapes).sizes == sizes
 
 
 def test_parse_group_inference_with_seed():
@@ -181,7 +187,7 @@ def test_parse_arity_mismatch():
 
 
 def test_matrix_chain_avoids_outer_product():
-    spec = parse("ij,jk,kl->il", [(2, 100), (100, 100), (100, 2)])
+    spec = parse("i j, j k, k l -> i l", [(2, 100), (100, 100), (100, 2)])
     p = plan(spec)
     assert p.flops == 20400
     assert p.max_intermediate == 200
@@ -189,7 +195,7 @@ def test_matrix_chain_avoids_outer_product():
 
 
 def test_permutation_only_plan():
-    spec = parse("ij->ji", [(2, 3)])
+    spec = parse("i j -> j i", [(2, 3)])
     p = plan(spec)
     assert p.steps == ()
     assert p.flops == 0
@@ -197,7 +203,7 @@ def test_permutation_only_plan():
 
 
 def test_dot_product_plan_and_value():
-    spec = parse("i,i->", [(3,), (3,)])
+    spec = parse("i, i ->", [(3,), (3,)])
     p = plan(spec)
     assert p.flops == 3
     assert p.max_intermediate == 1
@@ -207,7 +213,7 @@ def test_dot_product_plan_and_value():
 
 
 def test_cost_report_reads_plan():
-    spec = parse("ij,jk,kl->il", [(2, 100), (100, 100), (100, 2)])
+    spec = parse("i j, j k, k l -> i l", [(2, 100), (100, 100), (100, 2)])
     p = plan(spec)
     assert p.flops == 20400
     assert p.max_intermediate == 200
@@ -216,7 +222,7 @@ def test_cost_report_reads_plan():
 
 def test_plan_optimal_matches_brute_force_fixed_cases():
     cases = [
-        ("ij,jk,kl->il", [(2, 100), (100, 100), (100, 2)]),
+        ("i j, j k, k l -> i l", [(2, 100), (100, 100), (100, 2)]),
         ("a b, b c, c d, a d ->", [(2, 3), (3, 4), (4, 2), (2, 2)]),
         ("x d, x, x -> x", [(2, 10), (2,), (2,)]),
         ("a b c, c d, b d e -> a e", [(2, 3, 4), (4, 3), (3, 3, 2)]),
@@ -243,42 +249,40 @@ def test_more_operands_than_the_planner_takes_raise():
     spec = chain_spec(MAX_OPERANDS + 1)
     with pytest.raises(Unsupported):
         plan(spec)
-    with pytest.raises(Unsupported):
-        contract(spec, [np.eye(2)] * (MAX_OPERANDS + 1))
 
 
 # ---------------------------------------------------------------- execution
 
 
 def test_identity_matmul():
-    spec = parse("ij,jk->ik", [(2, 2), (2, 2)])
+    spec = parse("i j, j k -> i k", [(2, 2), (2, 2)])
     m = np.array([[1.0, 2], [3, 4]])
-    assert np.allclose(contract(spec, [np.eye(2), m]), m)
+    assert np.allclose(contract(spec, [np.eye(2), m], plan(spec)), m)
 
 
 def test_hadamard():
-    spec = parse("ij,ij->ij", [(2, 2), (2, 2)])
+    spec = parse("i j, i j -> i j", [(2, 2), (2, 2)])
     a = np.array([[1.0, 2], [3, 4]])
     b = np.array([[5.0, 6], [7, 8]])
-    assert np.array_equal(contract(spec, [a, b]), [[5.0, 12], [21, 32]])
+    assert np.array_equal(contract(spec, [a, b], plan(spec)), [[5.0, 12], [21, 32]])
 
 
 def test_single_operand_sum():
     spec = parse("a b -> a", [(2, 3)])
     arr = np.arange(6.0).reshape(2, 3)
-    assert np.allclose(contract(spec, [arr]), arr.sum(axis=1))
+    assert np.allclose(contract(spec, [arr], plan(spec)), arr.sum(axis=1))
 
 
 def test_output_group_flattens_row_major():
     spec = parse("a b -> (a b)", [(2, 3)])
     arr = np.arange(6.0).reshape(2, 3)
-    assert np.array_equal(contract(spec, [arr]), arr.reshape(6))
+    assert np.array_equal(contract(spec, [arr], plan(spec)), arr.reshape(6))
 
 
 def test_input_group_ungroups():
     spec = parse("(a b) -> b a", [(6,)], sizes={"a": 2})
     arr = np.arange(6.0)
-    assert np.array_equal(contract(spec, [arr]), arr.reshape(2, 3).T)
+    assert np.array_equal(contract(spec, [arr], plan(spec)), arr.reshape(2, 3).T)
 
 
 def test_expanding_last_step_matches_nested_loops():
@@ -287,23 +291,8 @@ def test_expanding_last_step_matches_nested_loops():
     spec = parse("i o k, c d k -> c o d i", [(5, 4, 2), (3, 6, 2)])
     rng = np.random.default_rng(7)
     operands = [rng.standard_normal((5, 4, 2)), rng.standard_normal((3, 6, 2))]
-    assert max_rel_err(contract(spec, operands), naive_contract(spec, operands)) <= 1e-12
-
-
-def test_contract_shape_validation():
-    spec = parse("a, a ->", [(3,), (3,)])
-    with pytest.raises(ShapeMismatch):
-        contract(spec, [np.zeros(3)])
-    with pytest.raises(ShapeMismatch):
-        contract(spec, [np.zeros(3), np.zeros(4)])
-    with pytest.raises(ShapeMismatch):
-        contract(spec, [np.zeros((3, 1)), np.zeros(3)])
-
-
-def test_contract_group_axis_size_checked():
-    spec = parse("(a b) -> a b", [(6,)], sizes={"a": 2})
-    with pytest.raises(ShapeMismatch):
-        contract(spec, [np.zeros(8)])
+    want = naive_contract(spec, operands)
+    assert max_rel_err(contract(spec, operands, plan(spec)), want) <= 1e-12
 
 
 # ------------------------------------------------------- randomized checks
@@ -350,7 +339,7 @@ PRESUM_ONLY = _case("a b, b c d -> a c", [(2, 3), (3, 4, 5)]), _case("a b e, b c
 def test_contract_matches_nested_loops(case):
     spec, operands = case
     want = naive_contract(spec, operands)
-    assert max_rel_err(contract(spec, operands), want) <= 1e-12
+    assert max_rel_err(contract(spec, operands, plan(spec)), want) <= 1e-12
     assert max_rel_err(contract(spec, operands, left_deep_plan(spec)), want) <= 1e-12
 
 
@@ -367,11 +356,12 @@ def test_operand_commutativity(case):
     spec, operands = case
     if len(operands) < 2:
         return
-    base = contract(spec, operands)
+    base = contract(spec, operands, plan(spec))
     swapped_terms = list(spec.operand_terms)
     swapped_terms[0], swapped_terms[1] = swapped_terms[1], swapped_terms[0]
     swapped_spec = make_spec(swapped_terms, spec.output_term, spec.sizes)
-    swapped = contract(swapped_spec, [operands[1], operands[0]] + list(operands[2:]))
+    swapped_operands = [operands[1], operands[0]] + list(operands[2:])
+    swapped = contract(swapped_spec, swapped_operands, plan(swapped_spec))
     assert max_rel_err(swapped, base) <= 1e-12
 
 
@@ -387,12 +377,13 @@ def test_plan_independence(case):
 
 
 def test_left_deep_plan_differs_from_the_optimal_one():
-    spec = parse("ij,jk,kl->il", [(100, 2), (2, 100), (100, 2)])
+    spec = parse("i j, j k, k l -> i l", [(100, 2), (2, 100), (100, 2)])
     chain = left_deep_plan(spec)
     assert (chain.flops, plan(spec).flops) == (40000, 800)
     rng = np.random.default_rng(5)
     operands = [rng.standard_normal(shape) for shape in [(100, 2), (2, 100), (100, 2)]]
-    assert max_rel_err(contract(spec, operands, chain), contract(spec, operands)) <= 1e-12
+    optimal = contract(spec, operands, plan(spec))
+    assert max_rel_err(contract(spec, operands, chain), optimal) <= 1e-12
 
 
 def test_seven_operand_chain_gets_the_exact_plan():
@@ -400,7 +391,8 @@ def test_seven_operand_chain_gets_the_exact_plan():
     assert plan(spec).flops == brute_force_min_flops(spec)
     rng = np.random.default_rng(3)
     operands = [rng.standard_normal((2, 2)) for _ in range(7)]
-    assert max_rel_err(contract(spec, operands), naive_contract(spec, operands)) <= 1e-12
+    want = naive_contract(spec, operands)
+    assert max_rel_err(contract(spec, operands, plan(spec)), want) <= 1e-12
 
 
 class _NoMatrixTranspose(np.ndarray):
@@ -413,7 +405,7 @@ class _NoMatrixTranspose(np.ndarray):
 
 def test_swapped_operand_reads_on_numpy_1():
     # pyproject allows numpy>=1.24, so a swapped layout may use no NumPy 2 attribute
-    spec = parse("ji,jk->ik", [(3, 4), (3, 5)])
+    spec = parse("j i, j k -> i k", [(3, 4), (3, 5)])
     (step,) = plan(spec).steps
     assert step.lhs.swapped and step.lhs.perm is None
     a = np.random.default_rng(2).standard_normal((3, 4))

@@ -102,7 +102,7 @@ def test_mirror_is_refused_when_the_output_is_not_symmetric():
 
 def test_mirror_needs_a_size_preserving_renaming_that_fixes_the_shared_indices():
     x = np.random.default_rng(2).standard_normal((3, 3))
-    same = ops.Network("custom", "a b, a b ->", [x, x], {}, {}, sources=("x", "x"))
+    same = ops.Network("a b, a b ->", [x, x], {}, {}, sources=("x", "x"))
     assert ops._renaming(_spec(same), same.sources) == {"a": "a", "b": "b"}
     # a and b are shared but swapped: the value is tr(x @ x), not (sum x)^2
     crossed = dataclasses.replace(same, equation="a b, b a ->")
@@ -110,9 +110,12 @@ def test_mirror_needs_a_size_preserving_renaming_that_fixes_the_shared_indices()
     # one flat array of 6 read as (a b) = 2 x 3 and as (c d) = 3 x 2
     flat = x[:2].reshape(6)
     regrouped = ops.Network(
-        "custom", "(a b), (c d) -> (a b) (c d)", [flat, flat], {}, {"a": 2, "c": 3}, sources=("x", "x")
+        "(a b), (c d) -> (a b) (c d)", [flat, flat], {}, {"a": 2, "c": 3}, sources=("x", "x")
     )
     assert ops._renaming(_spec(regrouped), regrouped.sources) is None
+    # and as two indices (a b) and as one index c: the halves' index lists differ in length
+    uneven = dataclasses.replace(regrouped, equation="(a b), c -> (a b) c", seeds={"a": 2})
+    assert ops._renaming(_spec(uneven), uneven.sources) is None
 
 
 @pytest.mark.parametrize("op", ["ggn_gram", "ggn_diagonal", "per_sample_ggn_diagonal", "kfac_expand_factor"])
@@ -128,6 +131,15 @@ def test_four_dimensional_curvature_without_rewrites(op):
     assert len(prep.sim.spec.operand_terms) == len(net.operands) // 2
     arrays = make_inputs(conv, op, np.random.default_rng(3))
     assert compare(run_op(conv, op, arrays), oracle_run(conv, op, arrays)) <= 1e-12
+
+
+def test_nine_dimensional_ggn_without_rewrites_is_refused():
+    # neither the full network (22 operands) nor its half (2 + 9 = 11) fits the planner
+    conv = ConvSpec(1, 1, 1, 1, (DimSpec(2, 1),) * 9)
+    arrays = make_inputs(conv, "ggn_diagonal", np.random.default_rng(4))
+    assert 2 + conv.nd > einsum.MAX_OPERANDS
+    with pytest.raises(Unsupported):
+        run_op(conv, "ggn_diagonal", arrays)
 
 
 def _curvature_layers():

@@ -40,6 +40,18 @@ PATTERN_EQUATIONS = (
 )
 
 
+# Patterns the rewrites must leave in place: the pattern's term is not three
+# bare indices; its input leg has two other holders; a diagonal fold whose
+# output leg also sits on the data; a fold whose kernel leg is both carried
+# by the data and kept in the output.
+REFUSED_EQUATIONS = (
+    ("i (o k), i -> o k", "i"),
+    ("i o k, i, i -> o k", "i", "i"),
+    ("i o k, o k -> o i", "o k"),
+    ("i o k, o k -> i k", "o k"),
+)
+
+
 def _sizes(dim, legs):
     known = {"i": dim.input_size, "o": output_size(dim), "k": dim.kernel_size, "c": 3}
     return tuple(known[leg] for leg in legs.split())
@@ -47,15 +59,15 @@ def _sizes(dim, legs):
 
 def assert_rewrites_exact_and_cheaper(dim, seed=0):
     """Per equation: values equal the unsimplified contraction, no pattern is
-    left, and planned FLOPs fall."""
+    left, and planned FLOPs fall.  A refused pattern stays, with the values."""
     rng = np.random.default_rng(seed)
     for equation, legs in PATTERN_EQUATIONS:
         data = rng.standard_normal(_sizes(dim, legs))
         spec = einsum.parse(equation, [pattern(dim).table.shape, data.shape])
         operands = [pattern(dim).table, data]
-        before = einsum.contract(spec, operands)
+        before = einsum.contract(spec, operands, einsum.plan(spec))
         result = simplify_structure(spec, {0: dim})
-        after = einsum.contract(result.spec, result.apply(operands))
+        after = einsum.contract(result.spec, result.apply(operands), einsum.plan(result.spec))
         if result.fold is not None:
             after = result.fold.apply(after)
         assert after.shape == before.shape, equation
@@ -65,6 +77,16 @@ def assert_rewrites_exact_and_cheaper(dim, seed=0):
         assert [s.kind for s in result.steps] == [kind], equation
         assert result.plan == einsum.plan(result.spec), equation
         assert result.plan.flops < einsum.plan(spec).flops, equation
+    for equation, *legs in REFUSED_EQUATIONS:
+        table = pattern(dim).table
+        operands = [table.reshape(len(table), -1) if "(" in equation else table]
+        operands += [rng.standard_normal(_sizes(dim, leg)) for leg in legs]
+        spec = einsum.parse(equation, [a.shape for a in operands], sizes={"o": output_size(dim)})
+        result = simplify_structure(spec, {0: dim})
+        assert result.steps == () and 0 in result.kept and result.spec == spec, equation
+        dense = einsum.contract(spec, operands, einsum.plan(spec))
+        after = einsum.contract(result.spec, result.apply(operands), result.plan)
+        assert max_rel_err(after, dense) <= 1e-12, equation
 
 
 def test_dense_rewrite_preserves_values():
@@ -97,11 +119,11 @@ def dense_pattern_spec():
 def test_simplify_structure_reusable():
     spec, operands, roles = dense_pattern_spec()
     result = simplify_structure(spec, roles)
-    first = einsum.contract(result.spec, result.apply(operands))
+    first = einsum.contract(result.spec, result.apply(operands), einsum.plan(result.spec))
     other = [operands[0], np.arange(4.0)]
-    second = einsum.contract(result.spec, result.apply(other))
-    assert np.allclose(first, einsum.contract(spec, operands), atol=1e-12)
-    assert np.allclose(second, einsum.contract(spec, other), atol=1e-12)
+    second = einsum.contract(result.spec, result.apply(other), einsum.plan(result.spec))
+    assert np.allclose(first, einsum.contract(spec, operands, einsum.plan(spec)), atol=1e-12)
+    assert np.allclose(second, einsum.contract(spec, other, einsum.plan(spec)), atol=1e-12)
 
 
 @pytest.mark.parametrize("conv", LAYERS)

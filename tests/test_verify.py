@@ -2,15 +2,16 @@
 
 import dataclasses
 import itertools
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conv_tn import verify
+from conv_tn import ops, verify
 from conv_tn.cli import load_layers
 from conv_tn.ops import OP_NAMES, ConvSpec, input_shapes
-from conv_tn.pattern import DimSpec
+from conv_tn.pattern import DimSpec, IndexPattern, classify, output_size, pattern
 from conv_tn.verify import (
     compare,
     default_grid,
@@ -127,3 +128,36 @@ def test_refused_cases_are_counted_as_skipped():
     ]
     assert report.skipped == 1
     assert "skipped=1" in report.lines()[0]
+
+
+def _pattern_without_dilation(dim):
+    """A pattern of the right shape with ones where ``i == k + o*S - P``: dilation ignored."""
+    o_size = output_size(dim)
+    i, o, k = np.ogrid[: dim.input_size, :o_size, : dim.kernel_size]
+    table = (i == k + o * dim.stride - dim.padding).astype(np.float64)
+    return IndexPattern(dim, o_size, classify(dim), table, table.mean(axis=1), table.mean(axis=0))
+
+
+# the ops whose references once walked the pattern's own nonzero entries, and
+# the KFAC-reduce ops, whose references once read its averaged tables
+PATTERN_FREE_REFERENCES = (
+    "fold_output", "weight_vjp", "per_sample_weight_vjp", "input_vjp", "im2col_vjp",
+    "kfac_reduce_factor", "kfac_reduce_transpose",
+)
+
+
+def test_references_catch_a_pattern_that_ignores_dilation(monkeypatch):
+    # the builder is swapped in every module that holds it; the references
+    # do not read it, so the wrong tables the unsimplified engine contracts
+    # are failures, not a mistake both sides share
+    for name, module in list(sys.modules.items()):
+        if name.startswith("conv_tn") and getattr(module, "pattern", None) is pattern:
+            monkeypatch.setattr(module, "pattern", _pattern_without_dilation)
+    monkeypatch.setattr(ops, "_PREP_CACHE", {})
+    dilated = [
+        ConvSpec(2, 1, 2, 3, (DimSpec(7, 3, 1, 1, 2),)),
+        ConvSpec(1, 2, 2, 2, (DimSpec(6, 2, 2, 0, 3), DimSpec(5, 2, 1, 1, 2))),
+    ]
+    report = run_verification(dilated, PATTERN_FREE_REFERENCES, simplify=False)
+    failed = [r.op for r in report.reports if r.failures == r.cases == 2]
+    assert failed == list(PATTERN_FREE_REFERENCES)
