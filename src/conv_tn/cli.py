@@ -4,7 +4,8 @@ Subcommands:
 
 * ``verify``   run every operation against its loop-based reference
 * ``flops``    report contraction cost with and without pattern rewrites,
-  and of the mirrored evaluation that runs in place of a curvature network
+  of the mirrored evaluation that runs in place of a curvature network, and
+  of the slices a network is cut into over the batch
 * ``pattern``  print one index pattern as JSON
 * ``bench``    time engine vs reference, CSV output
 * ``crs``      sampled weight-gradient error sweep, CSV output
@@ -160,6 +161,10 @@ def cmd_flops(args) -> int:
                     "mirrored": {
                         "unsimplified": costs.mirrored_base and costs.mirrored_base._asdict(),
                         "simplified": costs.mirrored and costs.mirrored._asdict(),
+                    },
+                    "sliced": {
+                        "unsimplified": costs.sliced_base and costs.sliced_base._asdict(),
+                        "simplified": costs.sliced and costs.sliced._asdict(),
                     },
                 }
             )

@@ -273,12 +273,6 @@ class PlanStep:
     shape: tuple[int, ...]
 
 
-def _needed(layout: Layout, shape: tuple[int, ...]) -> Layout | None:
-    """``layout``, or None where it would hand an array of ``shape`` on unchanged."""
-    changes = layout.presum or layout.perm is not None or layout.swapped or layout.shape != shape
-    return layout if changes else None
-
-
 @dataclass(frozen=True)
 class ContractionPlan:
     """The steps in execution order, with their cost.
@@ -286,8 +280,10 @@ class ContractionPlan:
     ``inputs`` holds each operand's shape and that shape with its grouped
     axes split; ``output`` turns the last result (or the only operand) into
     the output.  ``program`` holds, per step, the positions of the two arrays
-    it reads, their layouts and its result's shape; ``finish`` is ``output``.
-    A layout that would hand its array on unchanged is None in both.
+    it reads, their layouts and the shape its result is made in; ``finish``
+    is ``output``, and ``entry`` the shape each operand enters in.  Each
+    array is read once, so a layout that only reshapes its array is done by
+    the reshape that makes the array (its flat shape otherwise) and is None.
     """
 
     steps: tuple[PlanStep, ...]
@@ -296,14 +292,22 @@ class ContractionPlan:
     inputs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     output: Layout
 
-    def __post_init__(self):  # program and finish: taken once, and neither compared nor shown
-        shapes = [flat for _, flat in self.inputs] + [s.shape for s in self.steps]
+    def __post_init__(self):  # program, finish and entry: taken once, and neither compared nor shown
+        made = [flat for _, flat in self.inputs] + [s.shape for s in self.steps]
+        reads = [None] * len(made)
+        for s in self.steps:
+            reads[s.left], reads[s.right] = s.lhs, s.rhs
+        reads[-1] = self.output
+        for a, layout in enumerate(reads):
+            if not (layout.presum or layout.perm is not None or layout.swapped):
+                made[a], reads[a] = layout.shape, None
+        n = len(self.inputs)
         program = tuple(
-            (s.left, s.right, _needed(s.lhs, shapes[s.left]), _needed(s.rhs, shapes[s.right]), s.shape)
-            for s in self.steps
+            (s.left, s.right, reads[s.left], reads[s.right], made[n + t]) for t, s in enumerate(self.steps)
         )
         object.__setattr__(self, "program", program)
-        object.__setattr__(self, "finish", _needed(self.output, shapes[-1]))
+        object.__setattr__(self, "finish", reads[-1])
+        object.__setattr__(self, "entry", tuple(made[:n]))
 
 
 def _prod_sizes(sizes: dict[str, int], indices) -> int:
@@ -554,12 +558,12 @@ def contract(spec: EinsumSpec, operands, plan_: ContractionPlan) -> Tensor:
 
     The operands are trusted: each must be a float64 array of its term's
     shape, which the op layer (``ops``, and ``crs`` for its narrowed
-    arrays) checks once per call.  Each is reshaped to its flat shape, and
+    arrays) checks once per call.  Each is reshaped to its entry shape, and
     one loop runs the plan's ``program``, each step reading its operands in
     the layouts the plan fixed, so execution decides nothing.  Any valid
     plan over the same spec yields the same values.
     """
-    arrays = [arr.reshape(flat) for arr, (_, flat) in zip(operands, plan_.inputs)]
+    arrays = [arr.reshape(shape) for arr, shape in zip(operands, plan_.entry)]
     for left, right, lhs_layout, rhs_layout, shape in plan_.program:
         lhs, rhs = arrays[left], arrays[right]
         arrays[left] = arrays[right] = None  # each array feeds one step

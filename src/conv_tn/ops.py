@@ -26,8 +26,10 @@ pattern roles when simplify is off, which removes nothing) and planned from
 shapes alone, and cached on (op, layer, columns, simplify) with the list of
 arrays and pattern tables a call fills its operands from.  A warm call
 converts each array to float64 and checks its shape, the only check it
-makes, then gathers, contracts, folds, takes the Gram of a mirrored
-network's half, and scales, each where the prepared network has it.
+makes, then gathers, contracts and folds once per slice of the batch (one
+slice unless the network's copies are large, see ``_SLICE_BYTES``), takes
+the Gram of a mirrored network's half, and scales, each where the prepared
+network has it.
 """
 
 from __future__ import annotations
@@ -131,6 +133,17 @@ class MirrorCost(NamedTuple):
         return self.half_flops + self.final_flops
 
 
+class SliceCost(NamedTuple):
+    """A network cut over its batch index ``index``, ``size`` samples per slice.
+
+    ``copied_bytes`` is the largest array that one slice copies.
+    """
+
+    index: str
+    size: int
+    copied_bytes: int
+
+
 @dataclass
 class OpCosts:
     """The plans of one op's full network with and without rewrites.
@@ -139,7 +152,9 @@ class OpCosts:
     ``max_intermediate`` leaves out once the plan has a step.
     ``mirrored_base`` and ``mirrored`` are the mirrored evaluations that run
     in place of ``base`` and ``simplified``, or None where the full network
-    runs.
+    runs.  ``sliced_base`` and ``sliced`` are how those networks are cut
+    over the batch, or None where they run as one slice; the plans above
+    are the whole batch's either way.
     """
 
     equation: str
@@ -149,6 +164,8 @@ class OpCosts:
     output_elements: int
     mirrored_base: MirrorCost | None = None
     mirrored: MirrorCost | None = None
+    sliced_base: SliceCost | None = None
+    sliced: SliceCost | None = None
 
     def ran(self, simplify: bool) -> tuple[int, int]:
         """FLOPs and largest intermediate of the evaluation ``run_op`` runs."""
@@ -443,14 +460,90 @@ def _mirror(net: Network, spec: einsum.EinsumSpec, roles: dict) -> tuple[Simplif
     return half, _Gram(final, plan, shared)
 
 
+# A network is cut over its batch index n so that the largest array a slice
+# copies, its window tensor as a rule, stays under this many bytes, and so
+# that a one-sample result is already in the output's order.  On one BLAS
+# thread (2-core Xeon, 2 MB of L2 per core), fastest of 5 calls over 11
+# alternating rounds: resnet_3x3 conv_forward (2.4 MB of windows per sample)
+# took 8.4 ms whole and 6.6 ms in slices of one sample, 11 rounds of 11, and
+# on tcn_dilated (393 KB per sample) slices of one beat slices of two in 9
+# to 11 of 11 rounds on every GEMM op.  The largest whole-batch copy of a
+# bundled layer is 602 KB (convnext_dw), so no bundled network is cut.
+_SLICE_BYTES = 640 << 10
+
+_WHOLE = ((None, None, None),)  # one slice: the whole batch
+
+
+def _copied(sim: SimplifyResult) -> int:
+    """Elements of the largest array over ``n`` that ``sim`` copies.
+
+    That is a window view or a permuted operand that a step of its plan
+    reshapes, or the contraction result that its fold writes back.
+    """
+    spec, idx = sim.spec, list(sim.spec.operand_indices)
+    windows = {a for a, p in enumerate(sim.kept) if p in sim.gathers}
+    copies = [spec.output_indices] if sim.fold is not None else []
+    for step in sim.plan.steps:
+        for a, layout in ((step.left, step.lhs), (step.right, step.rhs)):
+            if a in windows or layout.perm is not None:
+                copies.append(idx[a])
+        idx.append(step.result)
+    return max((math.prod(spec.sizes[i] for i in c) for c in copies if "n" in c), default=0)
+
+
+def _slicing(net: Network, spec: einsum.EinsumSpec, sim: SimplifyResult, roles: dict):
+    """``sim`` replanned for one slice of the batch, the slices and their cost, or None.
+
+    A network with no mirrored form (the choice between a mirror and the
+    full network compares whole-batch plans), with a GEMM step, with no
+    pattern table left (each slice would read it again), and whose ``n``
+    is a bare axis wherever it appears, and the output's first if there,
+    is cut into slices of the most samples whose largest copy
+    (``_copied``) stays under ``_SLICE_BYTES``, at least one.  It runs as
+    one slice when that is the whole batch.  Per slice, ``take`` holds each
+    operand's index that selects the slice (None where the operand has no
+    ``n``), ``put`` the output's (None where ``n`` is summed), and ``tail``
+    the rewrites and plan of a last slice that is short, else None.
+    """
+    n, out = "n", spec.output_term
+    if not sim.plan.steps or n not in spec.sizes or not all(isinstance(net.sources[p], str) for p in sim.kept):
+        return None
+    batch, copied = spec.sizes[n], _copied(sim)
+    size = max(1, _SLICE_BYTES * batch // (8 * copied)) if copied else batch
+    terms = (*spec.operand_terms, out)
+    flats = (*spec.operand_indices, spec.output_indices)
+    if (
+        size >= batch
+        or any((n in term) != (n in flat) for term, flat in zip(terms, flats))  # n inside a group
+        or n in out[1:]  # a slice of the output would not be contiguous
+    ):
+        return None
+
+    def at(m: int) -> SimplifyResult:
+        return simplify_structure(einsum.make_spec(spec.operand_terms, out, spec.sizes | {n: m}), roles)
+
+    axes = [term.index(n) if n in term else None for term in spec.operand_terms]
+    tail = at(batch % size) if batch % size else None
+    slices = []
+    for lo in range(0, batch, size):
+        hi = min(lo + size, batch)
+        take = tuple(None if a is None else (slice(None),) * a + (slice(lo, hi),) for a in axes)
+        slices.append((take, slice(lo, hi) if n in out else None, tail if hi - lo < size else None))
+    return at(size), tuple(slices), SliceCost(n, size, 8 * copied * size // batch)
+
+
 class _Prepared(NamedTuple):
     """One network, rewritten, planned and compiled: the one thing a call runs.
 
     ``sim`` holds the rewrites (none without simplify) and the plan of the
-    network, or of its first half when ``gram`` is set; ``operands`` and
-    ``args`` are ``_program``'s for the operands it keeps.  ``run`` applies
-    the gathers, contracts, folds, takes the Gram if there is one, copies a
-    result that is a view of the operand at ``alias``, and scales in place.
+    network, or of its first half when ``gram`` is set, for one slice of
+    the batch (``_slicing``); ``operands`` and ``args`` are ``_program``'s
+    for the operands it keeps.  ``run`` zeroes the padded gather buffers
+    once, then per slice gathers, contracts and folds, and writes the
+    result into its view of the output, or adds it there where ``n`` is
+    summed; an uncut network is one slice, whose result is the output.  It
+    then takes the Gram if there is one, copies a result that is a view of
+    the operand at ``alias``, and scales in place.
     """
 
     net: Network  # the network it was planned from, with zero placeholders as operands
@@ -460,12 +553,29 @@ class _Prepared(NamedTuple):
     operands: tuple
     args: tuple
     alias: int | None
+    slices: tuple = _WHOLE
+    cut: SliceCost | None = None
 
     def run(self, operands) -> Tensor:
         sim, gram, scale = self.sim, self.gram, self.net.scale
-        out = einsum.contract(sim.spec, sim.apply(operands), sim.plan)
-        if sim.fold is not None:
-            out = sim.fold.apply(out)
+        out, buffers = None, {}  # the padded gather buffers, zeroed once for all slices of one size
+        for take, put, tail in self.slices:
+            if tail is not None:
+                sim, buffers = tail, {}
+            part = operands if take is None else [a if t is None else a[t] for a, t in zip(operands, take)]
+            z = einsum.contract(sim.spec, sim.apply(part, buffers), sim.plan)
+            if put is None:  # the whole batch, or a slice of a sum over n
+                if sim.fold is not None:
+                    z = sim.fold.apply(z)
+                out = z if out is None else np.add(out, z, out=out)
+            elif sim.fold is None:  # a slice of an output over n, written into its view
+                if out is None:
+                    out = np.empty(self.spec.output_shape())
+                out[put] = z
+            else:  # a fold writes only some entries of its zeroed view
+                if out is None:
+                    out = np.zeros(self.spec.output_shape())
+                sim.fold.apply(z, out[put])
         if gram is not None:
             out = einsum.contract(gram.spec, (out, out if gram.shared else out.copy()), gram.plan)
         elif self.alias is not None and np.may_share_memory(out, operands[self.alias]):
@@ -497,7 +607,7 @@ def _prepare(key, make_net, use_simplify: bool) -> _Prepared:
         net = make_net()
         spec = einsum.parse(net.equation, [a.shape for a in net.operands], sizes=net.seeds)
         roles = net.roles if use_simplify else {}
-        mirror = _mirror(net, spec, roles)
+        mirror = mirrored = _mirror(net, spec, roles)
         if mirror is None or not _surely_cheaper(mirror[1], net):
             try:
                 full = simplify_structure(spec, roles)
@@ -509,7 +619,10 @@ def _prepare(key, make_net, use_simplify: bool) -> _Prepared:
                     mirror = full, None
         sim, gram = mirror
         stepless = gram is None and sim.fold is None and not sim.plan.steps and not sim.plan.output.presum
-        hit = _Prepared(net, spec, sim, gram, *_program(net, sim.kept), sim.kept[0] if stepless else None)
+        sliced = None if mirrored is not None else _slicing(net, spec, sim, roles)
+        sim, slices, cut = sliced or (sim, _WHOLE, None)
+        alias = sim.kept[0] if stepless else None
+        hit = _Prepared(net, spec, sim, gram, *_program(net, sim.kept), alias, slices, cut)
         if len(_PREP_CACHE) >= 4096:
             _PREP_CACHE.clear()
         _PREP_CACHE[key] = hit
@@ -551,13 +664,14 @@ def run_op(
 
 
 def op_cost(conv: ConvSpec, op: str, *, columns: int = 2) -> OpCosts:
-    """The full networks' plans with and without pattern rewrites, and the mirrored evaluations.
+    """The full networks' plans with and without pattern rewrites, the mirrored evaluations
+    and the slices.
 
-    Where a Gram runs, the full network is planned here.
+    Where a Gram runs, or the batch is cut, the whole network is planned here.
     """
     base, simplified = (_planned(conv, op, columns, s) for s in (False, True))
     full = [
-        p.sim if p.gram is None else simplify_structure(p.spec, roles)
+        p.sim if p.gram is None and p.cut is None else simplify_structure(p.spec, roles)
         for p, roles in ((base, {}), (simplified, simplified.net.roles))
     ]
     return OpCosts(
@@ -567,6 +681,8 @@ def op_cost(conv: ConvSpec, op: str, *, columns: int = 2) -> OpCosts:
         full[1].steps,
         math.prod(base.spec.output_shape()),
         *(p.gram and p.gram.cost(p.sim.plan) for p in (base, simplified)),
+        base.cut,
+        simplified.cut,
     )
 
 

@@ -16,7 +16,8 @@ exactly one other occurrence, the pattern need not be multiplied as a dense
 * **Fold.**  The other occurrence is the output.  The contraction produces
   ``(o, k)`` in place of ``i`` (only ``o`` when no other operand carries
   ``k``), and :class:`Fold` writes it back with one strided slice-add per
-  kernel offset, or a plain assignment when ``k`` is an output leg.
+  kernel offset, or a plain assignment when ``k`` is an output leg or the
+  offsets span less than one stride.
 * **Diagonal fold.**  The output also holds ``o``, and ``k`` sits on exactly
   one data operand: the unfolded kernel (Toeplitz matrix).  The contraction
   produces ``k`` in place of ``(o, i)``, and :class:`Fold` assigns each
@@ -65,7 +66,9 @@ class Gather:
     padded) and ``interior`` the slice of it the operand fills; ``shape``
     and ``strides`` describe the view, in which every gathered axis ``i``
     is the pair ``(k, o)`` reading ``x_padded[..., k*D + o*S, ...]``.
-    ``apply`` trusts its array to be float64 of the operand's shape.
+    ``apply`` trusts its array to be float64 of the operand's shape.  It
+    pads into ``buffers[key]``, zeroed on first use, and later refills only
+    its interior.
     """
 
     padded: tuple[int, ...] | None
@@ -90,19 +93,22 @@ class Gather:
         interior = tuple(slice(pads.get(a, 0), pads.get(a, 0) + n) for a, n in enumerate(in_shape))
         return cls(base if pads else None, interior, tuple(shape), tuple(strides))
 
-    def apply(self, arr: Tensor) -> Tensor:
+    def apply(self, arr: Tensor, buffers: dict, key) -> Tensor:
         if self.padded is None:
             buf = np.ascontiguousarray(arr)
         else:
-            buf = np.zeros(self.padded)
+            buf = buffers.get(key)
+            if buf is None:
+                buf = buffers[key] = np.zeros(self.padded)
             buf[self.interior] = arr
         return np.ndarray(self.shape, np.float64, buf, 0, self.strides)
 
 
 @dataclass(frozen=True)
 class _FoldStage:
-    """Fold some legs of ``z`` into a fresh array of ``shape``.
+    """Fold some legs of ``z`` into a fresh array of ``shape``, or into ``out``.
 
+    ``out`` must be a zeroed C-contiguous array of as many elements.
     ``writes`` holds, per kernel offset combination, the view of that array
     it writes, as a byte offset, shape and strides whose axes follow
     ``z``'s, and the index into ``z`` (one axis per index name) it reads.
@@ -113,9 +119,9 @@ class _FoldStage:
     writes: tuple[tuple[tuple[int, tuple[int, ...], tuple[int, ...]], tuple], ...]
     accumulate: bool
 
-    def apply(self, z: Tensor) -> Tensor:
+    def apply(self, z: Tensor, out: Tensor | None = None) -> Tensor:
         z = z.reshape(self.z_shape)
-        out = np.zeros(self.shape)
+        out = np.zeros(self.shape) if out is None else out.reshape(self.shape)
         for (offset, shape, strides), src in self.writes:
             view = np.ndarray(shape, np.float64, out, offset, strides)
             if self.accumulate:
@@ -133,18 +139,20 @@ class Fold:
     it in, so no transpose copies it.  Each fold that sums its kernel leg is
     its own stage of ``K`` slice-adds, which costs fewer calls than one
     slice-add per offset combination.  The folds that write each output
-    entry at most once, those that keep their kernel leg and the diagonal
-    ones, share one final stage of assignments, since an intermediate would
-    be output-sized.
+    entry at most once, those that keep their kernel leg, the diagonal ones
+    and those whose kernel spans less than one stride, share one final stage
+    of assignments, since an intermediate would be output-sized.
     """
 
     stages: tuple[_FoldStage, ...]
     out_shape: tuple[int, ...]
 
-    def apply(self, z: Tensor) -> Tensor:
-        for stage in self.stages:
+    def apply(self, z: Tensor, out: Tensor | None = None) -> Tensor:
+        """The folded output, written into ``out`` (zeroed, C-contiguous) when given."""
+        *first, last = self.stages
+        for stage in first:
             z = stage.apply(z)
-        return z.reshape(self.out_shape)
+        return last.apply(z, out).reshape(self.out_shape)
 
 
 @dataclass(frozen=True)
@@ -159,8 +167,13 @@ class _FoldDim:
 
     @property
     def once(self) -> bool:
-        """Whether each output entry is written at most once."""
-        return self.k_in_output or self.diagonal
+        """Whether each output entry is written at most once.
+
+        Kernel offsets that span less than one stride, ``(K - 1) * D < S``,
+        reach disjoint positions, so no two ``(o, k)`` pairs meet at one ``i``.
+        """
+        d = self.dim
+        return self.k_in_output or self.diagonal or (d.kernel_size - 1) * d.dilation < d.stride
 
 
 def _fold_writes(folds, z_names, names, sizes):
@@ -231,7 +244,10 @@ class SimplifyResult:
     contraction into the network's output.  Without pattern roles nothing
     is rewritten: ``kept`` holds every position, ``spec`` is the network's,
     ``plan`` is ``einsum.plan``'s for it, and ``apply`` passes the operands
-    through.  ``apply`` neither converts nor checks: the op layer has.
+    through.  ``apply`` neither converts nor checks: the op layer has.  It
+    keeps each gather's padded buffer in ``buffers`` under the operand's
+    position, so a call that applies the same rewrites to several slices
+    of a batch with one dict zeroes each buffer once.
     """
 
     spec: einsum.EinsumSpec
@@ -241,10 +257,11 @@ class SimplifyResult:
     gathers: dict[int, Gather]
     fold: Fold | None
 
-    def apply(self, operands) -> list:
-        gathers = self.gathers
+    def apply(self, operands, buffers=None) -> list:
+        gathers, buffers = self.gathers, {} if buffers is None else buffers
         return [
-            operands[p] if p not in gathers else gathers[p].apply(operands[p]) for p in self.kept
+            operands[p] if p not in gathers else gathers[p].apply(operands[p], buffers, p)
+            for p in self.kept
         ]
 
 

@@ -346,3 +346,52 @@ def test_gather_layouts_read_memory_in_order(conv, op):
         w = np.arange(float(math.prod(sim.spec.sizes[i] for i in other_idx)))
         view = w_layout.apply(w.reshape([sim.spec.sizes[i] for i in other_idx]))
         assert np.shares_memory(view, w)
+
+
+@pytest.mark.parametrize(
+    "dims, accumulating",
+    [
+        ((DimSpec(8, 1, 2), DimSpec(8, 1, 2)), []),  # a 1x1 stride-2 shortcut
+        ((DimSpec(16, 4, 4), DimSpec(16, 4, 4)), []),  # a 4x4 stride-4 patchify
+        ((DimSpec(9, 2, 3, 1),), []),  # the kernel spans less than one stride
+        ((DimSpec(11, 2, 3, 0, 2),), []),  # dilated, still inside one stride
+        ((DimSpec(11, 2, 2, 0, 2),), [True]),  # dilation 2 reaches the next stride
+        ((DimSpec(8, 3, 2, 1), DimSpec(8, 1, 2)), [True, False]),  # overlapping, then not
+    ],
+)
+def test_folds_whose_kernel_spans_less_than_a_stride_assign(dims, accumulating):
+    # no two (o, k) pairs reach one i, so such folds join the final assignment stage
+    conv = ConvSpec(2, 1, 3, 2, dims)
+    rng = np.random.default_rng(8)
+    for op in ("fold_output", "im2col_vjp", "input_vjp"):
+        net = build_network(conv, op)
+        spec = einsum.parse(net.equation, [a.shape for a in net.operands], sizes=net.seeds)
+        fold = simplify_structure(spec, net.roles).fold
+        assert [s.accumulate for s in fold.stages] == (accumulating or [False]), op
+        arrays = {k: rng.standard_normal(v) for k, v in input_shapes(conv, op).items()}
+        got = run_op(conv, op, arrays, simplify=True)
+        assert max_rel_err(got, run_op(conv, op, arrays)) <= 1e-12, op
+
+
+@pytest.mark.parametrize("conv", LAYERS)
+def test_bare_reshapes_are_made_where_the_array_enters_or_is_produced(conv):
+    # a layout that only reshapes costs no call of its own; each array is read once
+    for op in OP_NAMES:
+        if op == "unfold_kernel" and conv.groups != 1:
+            continue
+        for simplify in (False, True):
+            plan = simplify_structure(*_parsed(conv, op, simplify)).plan
+            layouts = [layout for step in plan.program for layout in step[2:4]] + [plan.finish]
+            for layout in layouts:
+                assert layout is None or layout.presum or layout.perm is not None or layout.swapped
+            read = {s.left: s.lhs for s in plan.steps} | {s.right: s.rhs for s in plan.steps}
+            for a, ((_, flat), shape) in enumerate(zip(plan.inputs, plan.entry)):
+                layout = read.get(a, plan.output)
+                bare = not (layout.presum or layout.perm is not None or layout.swapped)
+                assert shape == (layout.shape if bare else flat), (op, a)
+
+
+def _parsed(conv, op, simplify):
+    net = build_network(conv, op)
+    spec = einsum.parse(net.equation, [a.shape for a in net.operands], sizes=net.seeds)
+    return spec, net.roles if simplify else {}

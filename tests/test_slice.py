@@ -1,0 +1,169 @@
+"""Networks cut over the batch index: slices, their results and their memory."""
+
+import json
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conv_tn import ops
+from conv_tn.cli import load_layers, main
+from conv_tn.crs import masked_weight_vjp
+from conv_tn.ops import OP_NAMES, ConvSpec, op_cost, run_op
+from conv_tn.pattern import DimSpec
+from conv_tn.verify import compare, make_inputs, oracle_run
+
+# batch 7, so that slices of two leave a short last slice of one
+LAYERS = (
+    ConvSpec(7, 1, 3, 4, (DimSpec(9, 3, 2, 1, 2),)),
+    ConvSpec(7, 2, 4, 6, (DimSpec(6, 3, 1, 1), DimSpec(5, 2, 2))),
+    ConvSpec(7, 1, 2, 3, (DimSpec(4, 2, 1, 1), DimSpec(3, 2), DimSpec(5, 3, 2, 2))),
+    ConvSpec(7, 3, 3, 3, (DimSpec(8, 3, 1, 1), DimSpec(7, 3, 1, 1))),
+)
+# n in the output, n summed, and a fold
+OPS = ("conv_forward", "per_sample_weight_vjp", "weight_vjp", "input_vjp", "hesscale_weight_diag")
+
+
+@pytest.fixture(autouse=True)
+def own_cache(monkeypatch):
+    # networks planned under a patched slice constant stay out of the shared cache
+    monkeypatch.setattr(ops, "_PREP_CACHE", {})
+
+
+def _prep(op, conv):
+    ops._PREP_CACHE.clear()
+    run_op(conv, op, make_inputs(conv, op, np.random.default_rng(0)), simplify=True)
+    [prep] = ops._PREP_CACHE.values()
+    return prep
+
+
+def _cut_to(monkeypatch, op, conv, samples):
+    """Set the slice constant so that ``op`` on ``conv`` runs in slices of ``samples``."""
+    monkeypatch.setattr(ops, "_SLICE_BYTES", 1 << 60)
+    per_sample = 8 * ops._copied(_prep(op, conv).sim) // conv.batch
+    monkeypatch.setattr(ops, "_SLICE_BYTES", samples * per_sample)
+    ops._PREP_CACHE.clear()
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3])
+@pytest.mark.parametrize("op", OPS)
+@pytest.mark.parametrize("conv", LAYERS)
+def test_sliced_results_match_the_whole_batch(monkeypatch, conv, op, samples):
+    arrays = make_inputs(conv, op, np.random.default_rng(3))
+    whole = run_op(conv, op, arrays, simplify=True)
+    assert _prep(op, conv).cut is None  # small layers run whole
+    _cut_to(monkeypatch, op, conv, samples)
+    got = run_op(conv, op, arrays, simplify=True)
+    [prep] = ops._PREP_CACHE.values()
+    assert prep.cut.index == "n" and prep.cut.size == samples
+    assert len(prep.slices) == math.ceil(conv.batch / samples)
+    # a short last slice runs its own plan, planned at its own size
+    tails = [tail for *_, tail in prep.slices if tail is not None]
+    assert len(tails) == (conv.batch % samples > 0)
+    for tail in tails:
+        assert tail.spec.sizes["n"] == conv.batch % samples
+    assert prep.sim.spec.sizes["n"] == samples
+    assert compare(got, whole) <= 1e-12
+    ref = oracle_run(conv, op, arrays)
+    assert compare(got, getattr(ref, "weight", ref)) <= 1e-12
+    if "n" in prep.spec.output_indices:
+        # each slice lands in the output as the whole batch's plan puts it
+        assert np.array_equal(got, whole)
+    again = run_op(conv, op, arrays, simplify=True)  # a warm call zeroes its buffers afresh
+    assert np.array_equal(again, got)
+
+
+@pytest.mark.parametrize("conv", LAYERS)
+def test_sliced_crs_matches_the_whole_batch(monkeypatch, conv):
+    arrays = make_inputs(conv, "weight_vjp", np.random.default_rng(4))
+    masks = {"c_in": np.arange(conv.c_in // conv.groups) % 2 == 0}
+    keep = {"c_in": 0.5}
+    whole = masked_weight_vjp(conv, arrays["x"], arrays["v_y"], masks, keep)
+    monkeypatch.setattr(ops, "_SLICE_BYTES", 1)
+    ops._PREP_CACHE.clear()
+    got = masked_weight_vjp(conv, arrays["x"], arrays["v_y"], masks, keep)
+    [prep] = ops._PREP_CACHE.values()
+    assert prep.cut.size == 1 and len(prep.slices) == conv.batch
+    assert compare(got, whole) <= 1e-12
+
+
+def test_what_stays_whole(monkeypatch):
+    # with every copy over the constant: no GEMM step, a mirrored form, a
+    # dense pattern table (simplify off) and a masked CRS dimension stay whole
+    monkeypatch.setattr(ops, "_SLICE_BYTES", 1)
+    conv = LAYERS[1]
+    cut = {}
+    for op in OP_NAMES:
+        if op == "unfold_kernel":
+            continue
+        for simplify in (False, True):
+            prep = ops._planned(conv, op, 2, simplify)
+            cut[op, simplify] = prep.cut is not None
+            assert not (cut[op, simplify] and prep.gram is not None), op
+    assert not any(c for (op, simplify), c in cut.items() if not simplify)
+    stepless = ("unfold_input", "fold_output", "transpose_unfold", "im2col_jvp", "im2col_vjp")
+    mirrored = {op for op in OP_NAMES if op.startswith(("kfac", "ggn"))} | {"per_sample_ggn_diagonal"}
+    assert {op for (op, simplify), c in cut.items() if c} == (
+        set(OP_NAMES) - set(stepless) - mirrored - {"unfold_kernel"}
+    )
+    x, v_y = make_inputs(conv, "weight_vjp", np.random.default_rng(5)).values()
+    ops._PREP_CACHE.clear()
+    masked_weight_vjp(conv, x, v_y, {"i1": np.arange(6) % 2 == 0}, {"i1": 0.5})
+    [prep] = ops._PREP_CACHE.values()
+    assert prep.cut is None
+
+
+def test_no_bundled_network_is_cut():
+    for name, conv in load_layers(None):
+        for op in OP_NAMES:
+            if op == "unfold_kernel" and conv.groups != 1:
+                continue
+            costs = op_cost(conv, op)
+            assert costs.sliced is None and costs.sliced_base is None, (name, op)
+            for simplify in (False, True):
+                assert ops._planned(conv, op, 2, simplify).slices == ops._WHOLE, (name, op)
+
+
+# realistic_first_order's resnet_3x3
+RESNET_3X3 = ConvSpec(8, 1, 32, 32, (DimSpec(32, 3, 1, 1), DimSpec(32, 3, 1, 1)))
+
+
+def test_sliced_forward_peaks_below_the_whole_batch_window_tensor():
+    conv = RESNET_3X3
+    windows = 8 * conv.batch * conv.c_in * math.prod(conv.kernel_sizes) * math.prod(conv.out_sizes)
+    arrays = make_inputs(conv, "conv_forward", np.random.default_rng(6))
+    run_op(conv, "conv_forward", arrays, simplify=True)  # plans outside the trace
+    assert ops._planned(conv, "conv_forward", 2, True).cut.size == 1
+    tracemalloc.start()
+    try:
+        run_op(conv, "conv_forward", arrays, simplify=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one sample's windows, a padded buffer and the output
+    assert peak < windows / 2, (peak, windows)
+
+
+def test_op_cost_reports_the_whole_batch_and_the_slices():
+    conv = RESNET_3X3
+    costs = op_cost(conv, "conv_forward")
+    assert costs.sliced_base is None  # simplify off contracts dense pattern tables
+    assert costs.sliced == ops.SliceCost("n", 1, 8 * conv.c_in * 9 * math.prod(conv.out_sizes))
+    # the plan that runs is one sample's
+    assert costs.simplified.flops == conv.batch * ops._planned(conv, "conv_forward", 2, True).sim.plan.flops
+    assert costs.ran(True) == (costs.simplified.flops, costs.simplified.max_intermediate)
+
+
+def test_flops_prints_the_slices(tmp_path, capsys):
+    layer = {"name": "resnet_3x3", "batch": 8, "groups": 1, "c_in": 32, "c_out": 32,
+             "dims": [{"i": 32, "k": 3, "p": 1}, {"i": 32, "k": 3, "p": 1}]}
+    path = tmp_path / "layers.json"
+    path.write_text(json.dumps([layer]))
+    assert main(["flops", "--config", str(path), "--op", "weight_vjp", "--op", "unfold_input"]) == 0
+    rows = {row["op"]: row for row in json.loads(capsys.readouterr().out)}
+    assert rows["weight_vjp"]["sliced"] == {
+        "unsimplified": None,
+        "simplified": {"index": "n", "size": 1, "copied_bytes": 8 * 32 * 9 * 32 * 32},
+    }
+    assert rows["unfold_input"]["sliced"] == {"unsimplified": None, "simplified": None}
