@@ -277,9 +277,9 @@ class PlanStep:
 class ContractionPlan:
     """The steps in execution order, with their cost.
 
-    ``inputs`` holds each operand's shape and that shape with its grouped
-    axes split; ``output`` turns the last result (or the only operand) into
-    the output.  ``program`` holds, per step, the positions of the two arrays
+    ``inputs`` holds each operand's flat shape, its grouped axes split;
+    ``output`` turns the last result (or the only operand) into the
+    output.  ``program`` holds, per step, the positions of the two arrays
     it reads, their layouts and the shape its result is made in; ``finish``
     is ``output``, and ``entry`` the shape each operand enters in.  Each
     array is read once, so a layout that only reshapes its array is done by
@@ -289,11 +289,11 @@ class ContractionPlan:
     steps: tuple[PlanStep, ...]
     flops: int
     max_intermediate: int
-    inputs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    inputs: tuple[tuple[int, ...], ...]
     output: Layout
 
     def __post_init__(self):  # program, finish and entry: taken once, and neither compared nor shown
-        made = [flat for _, flat in self.inputs] + [s.shape for s in self.steps]
+        made = [*self.inputs, *(s.shape for s in self.steps)]
         reads = [None] * len(made)
         for s in self.steps:
             reads[s.left], reads[s.right] = s.lhs, s.rhs
@@ -424,20 +424,12 @@ def _build_plan(spec: EinsumSpec, pairs) -> ContractionPlan:
     dead = tuple(a for a, i in enumerate(last) if i in big and i not in out)
     order = tuple(i for i in out if i in big)
     in_order = order == tuple(i for i in last if i in big and i in out)
-    inputs = []
-    for term, flat in zip(spec.operand_terms, idx):
-        flat_shape = tuple([sizes[i] for i in flat])
-        if len(flat) > len(term):
-            term = [(a,) if isinstance(a, str) else a for a in term]
-            inputs.append((tuple([_prod_sizes(sizes, a) for a in term]), flat_shape))
-        else:
-            inputs.append((flat_shape, flat_shape))
     fed = [s.size for s in steps[:-1]]
     return ContractionPlan(
         steps=tuple(steps),
         flops=sum(s.flops for s in steps),
         max_intermediate=max(fed, default=math.prod(out_shape)),
-        inputs=tuple(inputs),
+        inputs=tuple(tuple([sizes[i] for i in flat]) for flat in spec.operand_indices),
         output=_layout(last, big, dead, order, in_order, out_shape, False),
     )
 

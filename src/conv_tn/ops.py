@@ -15,6 +15,10 @@ an entry's template:
   averaged over its missing leg.
 * ``x^2: ...`` is a term over the elementwise square of ``x``; the op
   still takes ``x``.
+* ``_gram(half, out, shared)`` is the entry of the Gram of the terms
+  ``half`` over the indices ``shared``: ``half`` joined to its copy with
+  every other index primed.  Such a network runs as the half, then the
+  half's result joined to its primed copy (``_mirror``).
 
 ``OP_NAMES``, ``input_shapes``, the CLI's op list and the plain wrappers
 come from the table.  Channel names inside a term count channels per
@@ -28,7 +32,7 @@ arrays and pattern tables a call fills its operands from.  A warm call
 converts each array to float64 and checks its shape, the only check it
 makes, then gathers, contracts and folds once per slice of the batch (one
 slice unless the network's copies are large, see ``_SLICE_BYTES``), takes
-the Gram of a mirrored network's half, and scales, each where the prepared
+the Gram of a declared Gram's half, and scales, each where the prepared
 network has it.
 """
 
@@ -109,8 +113,8 @@ class Network:
 
     ``sources`` names, per operand, the input array it holds (``x^2`` for
     the square of ``x``) or the ``(legs, DimSpec)`` of its pattern table (None if CRS-masked).
-    Operands with equal sources must hold equal arrays: a network whose two
-    halves hold the same sources may be contracted as one half and its Gram.
+    ``gram`` is its op's table entry's: the network is the Gram of its first
+    half, which may be contracted once and joined to its renamed copy.
     """
 
     equation: str
@@ -119,6 +123,7 @@ class Network:
     seeds: dict[str, int]
     scale: float | None = None
     sources: tuple = ()
+    gram: bool = False
 
 
 class MirrorCost(NamedTuple):
@@ -177,10 +182,33 @@ class _Op(NamedTuple):
     template: str
     batch_mean: bool = False  # scale the result by 1/N
     ungrouped: bool = False  # defined for groups == 1 only
+    gram: bool = False  # the Gram of its first half, see _gram
+
+
+def _gram(half: str, out: str, shared: str, batch_mean: bool = False) -> _Op:
+    """The Gram of ``half`` over the indices ``shared``.
+
+    The second half is ``half`` with every index outside ``shared`` primed
+    (``c_in`` to ``c_in_``, ``i#`` to ``i#_``, ``[i o k]`` to ``[i_ o k_]``
+    when ``o`` is shared); the output is ``out``, then the primed copy of
+    each of its atoms that holds a primed index.
+    """
+    keep = shared.split()
+
+    def prime(text: str) -> str:
+        return re.sub(r"[a-z]\w*#?", lambda m: m[0] if m[0].rstrip("#") in keep else f"{m[0]}_", text)
+
+    second = []
+    for part in half.split(", "):
+        name, sep, term = part.rpartition(": ")
+        second.append(name + sep + prime(term))
+    primed = [p for atom in re.findall(r"\(.*?\)|\S+", out) if (p := prime(atom)) != atom]
+    out = " ".join([out, *primed])
+    return _Op(f"{half}, {', '.join(second)} -> {out}", batch_mean, gram=True)
 
 
 _X, _W, _Y, _U = "n (g c_in) i#", "(g c_out) c_in k#", "n (g c_out) o#", "n (c_in k#) (o#)"
-_GGN = f"x: {_X}, [i o k], s: c {_Y}, x: n (g c_in) i#_, [i_ o_ k], s: c n (g c_out) o#_ ->"
+_GGN = f"x: {_X}, [i o k], s: c {_Y}"  # weight_vjp(x, s) per sample and column of s
 # Any two legs of a pattern fix the third, so Π[i,o,k]·Π[i_,o,k] = δ(i,i_)·Π[i,o,k]
 # and Π[i,o,k]·Π[i,o,k_] = δ(k,k_)·Π[i,o,k]: the HesScale diagonals hold one
 # pattern and the squared array, weight_vjp(x⊙x, d_y) and input_vjp(w⊙w, d_y).
@@ -200,24 +228,13 @@ _OPS = {
     "im2col_jvp": _Op(f"v_x: n c_in i#, [i o k] -> {_U}"),
     "im2col_vjp": _Op(f"[i o k], v_u: {_U} -> n c_in i#"),
     # the KFAC factors are averaged over the batch
-    "kfac_expand_factor": _Op(
-        f"x: {_X}, [i o k], x: n (g c_in_) i#_, [i_ o k_] -> g (c_in k#) (c_in_ k#_)", True
-    ),
-    "kfac_reduce_factor": _Op(
-        f"x: {_X}, [i k], x: n (g c_in_) i#_, [i_ k_] -> g (c_in k#) (c_in_ k#_)", True
-    ),
-    "kfac_expand_transpose": _Op(
-        f"y: {_Y}, [i o k], y: n (g c_out_) o#_, [i o_ k_] -> g (c_out k#) (c_out_ k#_)", True
-    ),
-    "kfac_reduce_transpose": _Op(
-        f"y: {_Y}, [o k], y: n (g c_out_) o#_, [o_ k_] -> g (c_out k#) (c_out_ k#_)", True
-    ),
-    "ggn_gram": _Op(
-        f"x: {_X}, [i o k], s: c {_Y}, x: n_ (g c_in) i#_, [i_ o_ k], s: c_ n_ (g c_out) o#_"
-        " -> (c n) (c_ n_)"
-    ),
-    "ggn_diagonal": _Op(f"{_GGN} {_W}"),
-    "per_sample_ggn_diagonal": _Op(f"{_GGN} n {_W}"),
+    "kfac_expand_factor": _gram(f"x: {_X}, [i o k]", "g (c_in k#)", "n g o", True),
+    "kfac_reduce_factor": _gram(f"x: {_X}, [i k]", "g (c_in k#)", "n g", True),
+    "kfac_expand_transpose": _gram(f"y: {_Y}, [i o k]", "g (c_out k#)", "n g i", True),
+    "kfac_reduce_transpose": _gram(f"y: {_Y}, [o k]", "g (c_out k#)", "n g", True),
+    "ggn_gram": _gram(_GGN, "(c n)", "g c_in c_out k"),
+    "ggn_diagonal": _gram(_GGN, _W, "n g c_in c_out k c"),
+    "per_sample_ggn_diagonal": _gram(_GGN, f"n {_W}", "n g c_in c_out k c"),
     "hesscale_weight_diag": _Op(f"{_HESS} {_W}"),
     "per_sample_hesscale_weight_diag": _Op(f"{_HESS} n {_W}"),
     "hesscale_input_diag": _Op(f"w^2: {_W}, [i o k], d_y: {_Y} -> {_X}"),
@@ -370,7 +387,7 @@ def build_network(
         placeholders.append(np.broadcast_to(0.0, shape))
     seeds = {"g": conv.groups} if "(g " in eq else {}
     scale = 1.0 / conv.batch if entry.batch_mean else None
-    net = Network(eq, placeholders, roles, seeds, scale, sources)
+    net = Network(eq, placeholders, roles, seeds, scale, sources, entry.gram)
     if arrays is not None:
         net.operands = _operands(op, *_program(net, range(len(sources))), arrays)
     return net
@@ -408,38 +425,13 @@ class _Gram(NamedTuple):
         return MirrorCost(half.flops, self.plan.flops, max(half.max_intermediate, self.v_elements))
 
 
-def _renaming(spec: einsum.EinsumSpec, sources: tuple) -> dict[str, str] | None:
-    """The index renaming that maps the first half of ``spec``'s operands onto the second.
-
-    It exists when both halves hold the same sources, its fixed points are
-    exactly the indices the halves share, and swapping the halves' indices
-    maps the output onto itself.  Otherwise None.
-    """
-    h = len(sources) // 2
-    if len(sources) != 2 * h or not h or sources[:h] != sources[h:]:
-        return None
-    rename: dict[str, str] = {}
-    # each half reads its arrays in its terms' flat index orders
-    for a, b in zip(spec.operand_indices[:h], spec.operand_indices[h:]):
-        if len(a) != len(b):
-            return None
-        for i, j in zip(a, b):
-            if rename.setdefault(i, j) != j or spec.sizes[i] != spec.sizes[j]:
-                return None
-    second = set(rename.values())
-    if len(second) != len(rename) or {i for i, j in rename.items() if i == j} != second & rename.keys():
-        return None
-    swap = {j: i for i, j in rename.items()} | rename
-    out = spec.output_indices
-    return rename if {swap[i] for i in out} == set(out) else None
-
-
 def _mirror(net: Network, spec: einsum.EinsumSpec, roles: dict) -> tuple[SimplifyResult, _Gram] | None:
-    """``net``'s first half, rewritten with ``roles``, and its Gram step, if ``net`` is mirrored."""
-    rename = _renaming(spec, net.sources)
-    if rename is None:
+    """``net``'s first half, rewritten with ``roles``, and its Gram step, if ``net`` is a Gram."""
+    if not net.gram:
         return None
     h = len(net.sources) // 2
+    # each half reads its arrays in its terms' flat index orders, the second's primed where not shared
+    rename = {i: j for a, b in zip(spec.operand_indices[:h], spec.operand_indices[h:]) for i, j in zip(a, b)}
     out = spec.output_indices
     rows = [i for i in out if rename.get(i, i) != i]
     summed = [i for i, j in rename.items() if i == j and i not in out]
@@ -592,11 +584,12 @@ def _prepare(key, make_net, use_simplify: bool) -> _Prepared:
     """Parse, rewrite and plan the network ``make_net()``, cached under ``key``.
 
     Without simplify the rewrites get no pattern roles, so they remove
-    nothing and the plan is ``einsum.plan``'s for the network.  A mirrored
-    network is also planned as one half and the Gram or square of its
-    result, which runs when it plans no more FLOPs than the full network,
-    or when the full network cannot be planned.  The full network is not
-    planned when V holds no more elements than the half's data operands.
+    nothing and the plan is ``einsum.plan``'s for the network.  A network
+    declared a Gram is also planned as one half and the Gram or square of
+    its result, which runs when it plans no more FLOPs than the full
+    network, or when the full network cannot be planned.  The full network
+    is not planned when V holds no more elements than the half's data
+    operands.
 
     The key holds everything that decides the result, the network's scale
     included; the rewrites depend on the patterns' hyper-parameters, not

@@ -10,7 +10,7 @@ import pytest
 from conv_tn import einsum, ops
 from conv_tn.cli import load_layers
 from conv_tn.ops import OP_NAMES, ConvSpec, op_cost, run_op
-from conv_tn.pattern import DimSpec, output_size, pattern
+from conv_tn.pattern import DimSpec
 from conv_tn.simplify import simplify_structure
 from conv_tn.tensor import Unsupported
 from conv_tn.verify import compare, make_inputs, oracle_run
@@ -38,7 +38,7 @@ LAYERS = (
 
 
 def _mirrored(conv, op, arrays, simplify):
-    """``op``'s value through its mirrored evaluation, chosen or not; None if it has none."""
+    """``op``'s value through its Gram evaluation, chosen or not; None if its entry declares none."""
     prep = ops._planned(conv, op, ops._columns(op, arrays), simplify)
     mirror = ops._mirror(prep.net, prep.spec, prep.net.roles if simplify else {})
     if mirror is None:
@@ -64,58 +64,21 @@ def test_mirror_fires_on_exactly_the_curvature_ops(conv, simplify):
             assert costs.mirrored is None and costs.mirrored_base is None, op
 
 
-def _network(dims):
-    conv = ConvSpec(2, 1, 2, 3, dims)
-    x = np.random.default_rng(0).standard_normal(ops.input_shapes(conv, "kfac_expand_factor")["x"])
-    return ops.build_network(conv, "kfac_expand_factor", {"x": x})
-
-
 def _spec(net):
     return einsum.parse(net.equation, [a.shape for a in net.operands], sizes=net.seeds)
 
 
-def test_mirror_is_refused_when_the_halves_differ_in_one_dimspec():
-    # both dims have I = 6, K = 2, O = 3, with different patterns
-    strided, dilated = DimSpec(6, 2, 2), DimSpec(6, 2, 1, 0, 3)
-    assert output_size(strided) == output_size(dilated)
-    net = _network((strided, strided))
-    assert ops._renaming(_spec(net), net.sources) is not None
-    last = len(net.sources) - 1  # the second half's last pattern
-    sources = net.sources[:last] + (("iok", dilated),)
-    odd = dataclasses.replace(
-        net,
-        operands=net.operands[:last] + [pattern(dilated).table],
-        roles={**net.roles, last: dilated},
-        sources=sources,
-    )
-    assert ops._renaming(_spec(odd), odd.sources) is None
-
-
-def test_mirror_is_refused_when_the_output_is_not_symmetric():
-    net = _network((DimSpec(5, 2), DimSpec(4, 2, 1, 1)))
-    lhs, _ = net.equation.split(" -> ")
-    for out in ("g (c_in k1 k2) c_in_", "g (c_in k1 k2) (c_in_ k1_)", "g (c_in k1 k2) n"):
-        lopsided = dataclasses.replace(net, equation=f"{lhs} -> {out}")
-        assert ops._renaming(_spec(lopsided), lopsided.sources) is None, out
-    assert ops._renaming(_spec(net), net.sources) is not None
-
-
-def test_mirror_needs_a_size_preserving_renaming_that_fixes_the_shared_indices():
+def test_a_network_runs_as_a_gram_only_when_its_table_entry_declares_one():
+    # both halves hold x, and one renaming fixes exactly the indices they share
     x = np.random.default_rng(2).standard_normal((3, 3))
     same = ops.Network("a b, a b ->", [x, x], {}, {}, sources=("x", "x"))
-    assert ops._renaming(_spec(same), same.sources) == {"a": "a", "b": "b"}
-    # a and b are shared but swapped: the value is tr(x @ x), not (sum x)^2
-    crossed = dataclasses.replace(same, equation="a b, b a ->")
-    assert ops._renaming(_spec(crossed), crossed.sources) is None
-    # one flat array of 6 read as (a b) = 2 x 3 and as (c d) = 3 x 2
-    flat = x[:2].reshape(6)
-    regrouped = ops.Network(
-        "(a b), (c d) -> (a b) (c d)", [flat, flat], {}, {"a": 2, "c": 3}, sources=("x", "x")
-    )
-    assert ops._renaming(_spec(regrouped), regrouped.sources) is None
-    # and as two indices (a b) and as one index c: the halves' index lists differ in length
-    uneven = dataclasses.replace(regrouped, equation="(a b), c -> (a b) c", seeds={"a": 2})
-    assert ops._renaming(_spec(uneven), uneven.sources) is None
+    prep = ops._prepare(("same",), lambda: same, False)
+    assert prep.gram is None
+    assert np.isclose(prep.run([x, x]), np.sum(x * x))
+    conv = ConvSpec(2, 1, 2, 3, (DimSpec(5, 2), DimSpec(4, 2, 1, 1)))
+    for op in OP_NAMES:
+        if op != "unfold_kernel":
+            assert ops.build_network(conv, op).gram == (op in CURVATURE), op
 
 
 @pytest.mark.parametrize("op", ["ggn_gram", "ggn_diagonal", "per_sample_ggn_diagonal", "kfac_expand_factor"])
