@@ -487,8 +487,9 @@ def _slicing(net: Network, spec: einsum.EinsumSpec, sim: SimplifyResult, roles: 
     """``sim`` replanned for one slice of the batch, the slices and their cost, or None.
 
     A network with no mirrored form (the choice between a mirror and the
-    full network compares whole-batch plans), with a GEMM step, with no
-    pattern table left (each slice would read it again), and whose ``n``
+    full network compares whole-batch plans), with a GEMM step or a fold
+    stage that adds shifted copies of a result holding no kernel leg, with
+    no pattern table left (each slice would read it again), and whose ``n``
     is a bare axis wherever it appears, and the output's first if there,
     is cut into slices of the most samples whose largest copy
     (``_copied``) stays under ``_SLICE_BYTES``, at least one.  It runs as
@@ -496,9 +497,24 @@ def _slicing(net: Network, spec: einsum.EinsumSpec, sim: SimplifyResult, roles: 
     operand's index that selects the slice (None where the operand has no
     ``n``), ``put`` the output's (None where ``n`` is summed), and ``tail``
     the rewrites and plan of a last slice that is short, else None.
+
+    Such a fold stage (``fold_output``'s) then adds into slices that stay
+    in cache: on one BLAS thread (2-core Xeon), fastest of 7 calls over 15
+    alternating rounds, resnet_3x3 ``fold_output`` took 5.1 ms whole and
+    2.6 ms in slices of two, 15 rounds of 15.  A stage that sums a kernel
+    leg keeps the network whole: ``im2col_vjp`` cut per sample won on two
+    2d layers and lost on tcn_dilated (0.56 against 0.62 ms, 14 of 15).
     """
     n, out = "n", spec.output_term
-    if not sim.plan.steps or n not in spec.sizes or not all(isinstance(net.sources[p], str) for p in sim.kept):
+    # a stage that sums no kernel leg keeps its rank
+    shifting = sim.fold is not None and any(
+        stage.accumulate and len(stage.z_shape) == len(stage.shape) for stage in sim.fold.stages
+    )
+    if (
+        not (sim.plan.steps or shifting)
+        or n not in spec.sizes
+        or not all(isinstance(net.sources[p], str) for p in sim.kept)
+    ):
         return None
     batch, copied = spec.sizes[n], _copied(sim)
     size = max(1, _SLICE_BYTES * batch // (8 * copied)) if copied else batch

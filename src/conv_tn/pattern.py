@@ -5,9 +5,12 @@ For one spatial dimension with input size ``I``, kernel size ``K``, stride
 zero/one tensor with ``table[i, o, k] == 1`` iff ``i == k*D + o*S - P`` lands
 inside the input.  Contracting it against inputs and kernels reproduces
 convolution and everything adjoint to it.  Because each (o, k) pair names
-at most one input position, the rewrites in :mod:`conv_tn.simplify` replace
-the table by strided reads and writes for every hyper-parameter tuple; a
-gather copies its operand only when a gathered dimension is padded.
+at most one input position, and at stride 1 each (i, k) pair at most one
+output position, the rewrites in :mod:`conv_tn.simplify` replace the table
+by strided reads and writes for every hyper-parameter tuple: a window view
+reads an axis ``i`` as ``(k, o)``, or at stride 1 an axis ``o`` as
+``(k, i)``.  A gather copies its operand only when a gathered dimension
+needs padding.
 """
 
 from __future__ import annotations

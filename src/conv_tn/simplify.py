@@ -1,9 +1,9 @@
 """Structural rewrites that remove index-pattern operands before planning.
 
 An ``(i, o, k)`` pattern only relates input position ``i`` to the pair
-``(o, k)`` through ``i == o*S + k*D - P``.  So whenever its input leg has
-exactly one other occurrence, the pattern need not be multiplied as a dense
-``I x O x K`` table:
+``(o, k)`` through ``i == o*S + k*D - P``; any two legs fix the third.  So
+whenever its input leg has exactly one other occurrence, the pattern need
+not be multiplied as a dense ``I x O x K`` table:
 
 * **Gather.**  The other occurrence is a bare axis of a data operand.  That
   operand is read as a strided view whose axis ``i`` becomes the two axes
@@ -13,11 +13,20 @@ exactly one other occurrence, the pattern need not be multiplied as a dense
   view in its term order walks memory forwards in long runs.  This is
   im2col; the dense (reshape) and down-sampling (narrow) patterns are its
   zero-copy cases.
-* **Fold.**  The other occurrence is the output.  The contraction produces
-  ``(o, k)`` in place of ``i`` (only ``o`` when no other operand carries
-  ``k``), and :class:`Fold` writes it back with one strided slice-add per
-  kernel offset, or a plain assignment when ``k`` is an output leg or the
-  offsets span less than one stride.
+* **Gather through the output leg.**  The other occurrence is the output,
+  the stride is 1, the output leg is a bare axis of exactly one data
+  operand and the kernel leg sits on another operand or in the output.
+  Then ``o == i + P - k*D``, and that operand is read as a view whose axis
+  ``o`` becomes ``(k, i)``: the kernel leg at stride ``-D``, over a copy
+  zero-padded by ``(K-1)*D - P`` on each side, or from an offset into the
+  operand itself when that is not positive.  This is the direct
+  convolution with the flipped kernel that a stride-1 transposed
+  convolution is; ``i`` stays an output index, so nothing is folded.
+* **Fold.**  The other occurrence is the output otherwise.  The contraction
+  produces ``(o, k)`` in place of ``i`` (only ``o`` when no other operand
+  carries ``k``), and :class:`Fold` writes it back with one strided
+  slice-add per kernel offset, or a plain assignment when ``k`` is an
+  output leg or the offsets span less than one stride.
 * **Diagonal fold.**  The output also holds ``o``, and ``k`` sits on exactly
   one data operand: the unfolded kernel (Toeplitz matrix).  The contraction
   produces ``k`` in place of ``(o, i)``, and :class:`Fold` assigns each
@@ -63,35 +72,49 @@ class Gather:
     """Read one operand as the strided view of every kernel window.
 
     ``padded`` is the zero-padded shape (None when no gathered axis is
-    padded) and ``interior`` the slice of it the operand fills; ``shape``
-    and ``strides`` describe the view, in which every gathered axis ``i``
-    is the pair ``(k, o)`` reading ``x_padded[..., k*D + o*S, ...]``.
-    ``apply`` trusts its array to be float64 of the operand's shape.  It
-    pads into ``buffers[key]``, zeroed on first use, and later refills only
-    its interior.
+    padded) and ``interior`` the slice of it the operand fills; ``offset``,
+    ``shape`` and ``strides`` describe the view.  A gathered axis ``i`` is
+    the pair ``(k, o)`` reading ``x_padded[..., k*D + o*S, ...]``; a
+    gathered axis ``o`` (stride 1) is the pair ``(k, i)`` reading
+    ``y[..., i + P - k*D, ...]``, over ``y`` padded by ``(K-1)*D - P`` on
+    each side, or from that offset when it is negative.  ``apply`` trusts
+    its array to be float64 of the operand's shape.  It pads into
+    ``buffers[key]``, zeroed on first use, and later refills only its
+    interior.
     """
 
     padded: tuple[int, ...] | None
     interior: tuple[slice, ...]
+    offset: int
     shape: tuple[int, ...]
     strides: tuple[int, ...]
 
     @classmethod
-    def build(cls, in_shape, axes: dict[int, DimSpec]) -> "Gather":
-        pads = {a: d.padding for a, d in axes.items() if d.padding}
+    def build(cls, in_shape, axes: dict[int, tuple[DimSpec, bool]]) -> "Gather":
+        """The view of an operand of ``in_shape`` whose axis ``a`` is ``dim``'s
+        input leg, or its output leg where ``axes[a]`` is ``(dim, True)``."""
+        pads = {}
+        for a, (d, through_o) in axes.items():
+            pad = (d.kernel_size - 1) * d.dilation - d.padding if through_o else d.padding
+            if pad > 0:
+                pads[a] = pad
         base = tuple(n + 2 * pads.get(a, 0) for a, n in enumerate(in_shape))
-        shape: list[int] = []
-        strides: list[int] = []
+        offset, shape, strides = 0, [], []
         for a, (n, st) in enumerate(zip(base, _c_strides(base))):
-            d = axes.get(a)
-            if d is None:
+            if a not in axes:
                 shape.append(n)
                 strides.append(st)
+                continue
+            d, through_o = axes[a]
+            if through_o:  # k = K-1 and i = 0 read the first padded entry, or y[P - (K-1)*D]
+                offset += max((d.kernel_size - 1) * d.dilation, d.padding) * st
+                shape += [d.kernel_size, d.input_size]
+                strides += [-d.dilation * st, st]
             else:
                 shape += [d.kernel_size, output_size(d)]
                 strides += [d.dilation * st, d.stride * st]
         interior = tuple(slice(pads.get(a, 0), pads.get(a, 0) + n) for a, n in enumerate(in_shape))
-        return cls(base if pads else None, interior, tuple(shape), tuple(strides))
+        return cls(base if pads else None, interior, offset, tuple(shape), tuple(strides))
 
     def apply(self, arr: Tensor, buffers: dict, key) -> Tensor:
         if self.padded is None:
@@ -101,7 +124,7 @@ class Gather:
             if buf is None:
                 buf = buffers[key] = np.zeros(self.padded)
             buf[self.interior] = arr
-        return np.ndarray(self.shape, np.float64, buf, 0, self.strides)
+        return np.ndarray(self.shape, np.float64, buf, self.offset, self.strides)
 
 
 @dataclass(frozen=True)
@@ -281,12 +304,20 @@ def simplify_structure(
     terms = [list(t) for t in spec.operand_terms]
     out_names = list(spec.output_indices)
     alive = list(range(len(terms)))
-    gathered: dict[int, dict[int, DimSpec]] = {}
+    gathered: dict[int, dict[int, tuple[DimSpec, bool]]] = {}
     folds: list[_FoldDim] = []
     steps: list[RewriteStep] = []
 
     def names_of(positions) -> set[str]:
         return {m for p in positions for atom in terms[p] for m in _members(atom)}
+
+    def reader(leg: str, term, others) -> int | None:
+        """The only operand of ``others`` that holds ``leg``, if it is a data operand
+        holding ``leg`` as a bare axis and no other leg of ``term``."""
+        holders = [p for p in others if leg in names_of([p])]
+        if len(holders) != 1 or holders[0] in pattern_roles or leg not in terms[holders[0]]:
+            return None
+        return None if (set(term) - {leg}) & names_of(holders) else holders[0]
 
     for pos, dim in sorted(pattern_roles.items()):
         term = terms[pos]
@@ -297,23 +328,25 @@ def simplify_structure(
         holders = [p for p in others if i_name in names_of([p])]
         if len(holders) + (i_name in out_names) != 1:
             continue
-
-        if holders:
-            target = holders[0]
-            if (
-                target in pattern_roles
-                or i_name not in terms[target]  # inside a grouped axis
-                or {o_name, k_name} & names_of([target])
-            ):
+        k_holders = [p for p in others if k_name in names_of([p])]
+        k_in_output = k_name in out_names
+        # the operand read as a window, the leg it is read through and the leg the view adds
+        target = None
+        if holders:  # i becomes (k, o)
+            target, leg, other = reader(i_name, term, others), i_name, o_name
+            if target is None:
                 continue
-            gathered.setdefault(target, {})[spec.operand_terms[target].index(i_name)] = dim
-            a_pos = terms[target].index(i_name)
-            terms[target][a_pos : a_pos + 1] = [k_name, o_name]
+        elif dim.stride == 1 and o_name not in out_names and (k_holders or k_in_output):
+            # o == i + P - k*D, so o becomes (k, i); summing k over the view alone would fold
+            target, leg, other = reader(o_name, term, others), o_name, i_name
+
+        if target is not None:
+            gathered.setdefault(target, {})[spec.operand_terms[target].index(leg)] = (dim, leg == o_name)
+            a_pos = terms[target].index(leg)
+            terms[target][a_pos : a_pos + 1] = [k_name, other]
             kind = RewriteKind.GATHER
         else:
             other_names = names_of(others)
-            k_holders = [p for p in others if k_name in names_of([p])]
-            k_in_output = k_name in out_names
             a_pos = out_names.index(i_name)
             diagonal = o_name in out_names
             if diagonal:

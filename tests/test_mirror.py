@@ -127,12 +127,13 @@ def test_chosen_evaluation_never_plans_more_than_the_full_network():
 
 
 def test_kfac_expand_transpose_is_the_gram_of_transpose_unfold():
-    conv = ConvSpec(2, 1, 2, 3, (DimSpec(5, 2, 1, 1), DimSpec(4, 3, 1, 1)))
+    conv = ConvSpec(2, 1, 2, 3, (DimSpec(5, 2, 1, 1), DimSpec(7, 2, 2, 1)))
     arrays = make_inputs(conv, "kfac_expand_transpose", np.random.default_rng(5))
     prep = ops._planned(conv, "kfac_expand_transpose", 2, True)
     assert prep.gram is not None
-    # the half is transpose_unfold: its pattern is folded away, and V is (g, c_out k, n i)
-    assert [s.kind.value for s in prep.sim.steps] == ["fold"] * conv.nd
+    # the half is transpose_unfold: its stride-1 pattern is gathered through the
+    # output leg, its stride-2 one folded away, and V is (g, c_out k, n i)
+    assert [s.kind.value for s in prep.sim.steps] == ["gather", "fold"]
     assert prep.gram.spec.operand_indices[0][:2] == ("g", "c_out")
     unfolded = ops.transpose_unfold(conv, arrays["y"], simplify=True)
     n_i = conv.batch * math.prod(conv.input_sizes)

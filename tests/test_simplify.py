@@ -7,12 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conv_tn import einsum
+from conv_tn import einsum, ops
 from conv_tn.cli import load_layers
 from conv_tn.ops import OP_NAMES, ConvSpec, build_network, input_shapes, op_cost, run_op
 from conv_tn.pattern import DimSpec, output_size, pattern
 from conv_tn.simplify import RewriteKind, simplify_structure
 from conv_tn.tensor import ShapeMismatch, Unsupported, max_rel_err
+from conv_tn.verify import compare, make_inputs, oracle_run
 
 DENSE = ConvSpec(2, 1, 2, 3, (DimSpec(8, 2, 2),))
 DOWN = ConvSpec(2, 1, 2, 3, (DimSpec(8, 1, 2),))
@@ -29,7 +30,8 @@ LAYERS = (DENSE, DOWN, MIXED, GENERAL, PADDED, DILATED, GROUPED, DANGLING)
 # operand, or lands in the output with the kernel leg summed, kept in the
 # output, or carried by the data operand; or the input and output legs both
 # land in the output and the operand carries the kernel leg (the Toeplitz
-# matrix of unfold_kernel).
+# matrix of unfold_kernel).  At stride 1 a kept kernel leg makes the output
+# leg a gather (the third equation); the others fold.
 PATTERN_EQUATIONS = (
     ("i o k, i -> o k", "i"),
     ("i o k, o -> i", "o"),
@@ -73,7 +75,8 @@ def assert_rewrites_exact_and_cheaper(dim, seed=0):
         assert after.shape == before.shape, equation
         assert max_rel_err(after, before) <= 1e-12, equation
         assert 0 not in result.kept, equation
-        kind = RewriteKind.GATHER if legs == "i" else RewriteKind.FOLD
+        through_o = legs == "o" and "k" in equation.split("->")[1].split() and dim.stride == 1
+        kind = RewriteKind.GATHER if legs == "i" or through_o else RewriteKind.FOLD
         assert [s.kind for s in result.steps] == [kind], equation
         assert result.plan == einsum.plan(result.spec), equation
         assert result.plan.flops < einsum.plan(spec).flops, equation
@@ -184,15 +187,18 @@ def test_no_roles_remove_nothing_and_plan_the_network_as_it_is():
 # LAYERS, as the planner and rewrites made them before the diagonal fold
 # existed: that rewrite fires for unfold_kernel alone and changes no other plan.
 # The digests were taken again, unchanged plans, when a plan's inputs became
-# its operands' flat shapes alone.
+# its operands' flat shapes alone.  Those of transpose_unfold, input_vjp and
+# hesscale_input_diag were taken again when a stride-1 pattern whose input leg
+# lands in the output became a gather through its output leg: their stride-1
+# dimensions no longer fold.
 PLAN_DIGESTS = {
     "conv_forward": "2b2002d8b0589a16",
     "unfold_input": "32112824e9e724b6",
     "fold_output": "ee318c2ec9f4a2c4",
-    "transpose_unfold": "b52092cc86abd375",
+    "transpose_unfold": "5698510054041c0b",
     "weight_vjp": "86f5d61799099e45",
     "per_sample_weight_vjp": "d2b7755eb350d6b1",
-    "input_vjp": "6cfbe251cbfce1e4",
+    "input_vjp": "08a77a802410cf66",
     "weight_jvp": "2b2002d8b0589a16",
     "input_jvp": "2b2002d8b0589a16",
     "im2col_jvp": "32112824e9e724b6",
@@ -206,7 +212,7 @@ PLAN_DIGESTS = {
     "per_sample_ggn_diagonal": "47fe493e0450877d",
     "hesscale_weight_diag": "86f5d61799099e45",
     "per_sample_hesscale_weight_diag": "d2b7755eb350d6b1",
-    "hesscale_input_diag": "6cfbe251cbfce1e4",
+    "hesscale_input_diag": "08a77a802410cf66",
 }
 
 
@@ -397,3 +403,76 @@ def _parsed(conv, op, simplify):
     net = build_network(conv, op)
     spec = einsum.parse(net.equation, [a.shape for a in net.operands], sizes=net.seeds)
     return spec, net.roles if simplify else {}
+
+
+# Stride-1 layers whose padding is 0, below the kernel's reach (K-1)*D, at it
+# and beyond it (K=1 with P=2 and K=2 with P=2 read y from an offset, with no
+# padded copy), in 1d to 3d, grouped and depthwise, dilation 1 to 3.
+STRIDE_ONE = (
+    ConvSpec(2, 1, 3, 2, (DimSpec(9, 3, 1, 0, 2),)),
+    ConvSpec(2, 1, 2, 3, (DimSpec(5, 1, 1, 2),)),
+    ConvSpec(2, 1, 2, 3, (DimSpec(5, 2, 1, 2),)),
+    ConvSpec(2, 2, 4, 6, (DimSpec(7, 3, 1, 1, 3), DimSpec(6, 3, 1, 4, 2))),
+    ConvSpec(2, 3, 3, 6, (DimSpec(6, 3, 1, 2), DimSpec(5, 2, 1, 0, 3))),
+    ConvSpec(2, 1, 2, 2, (DimSpec(4, 2, 1, 2), DimSpec(5, 3, 1, 1, 2), DimSpec(3, 1, 1, 2))),
+)
+# the ops where a stride-1 pattern's output leg is read as a (k, i) window
+THROUGH_OUTPUT = ("input_vjp", "hesscale_input_diag", "transpose_unfold", "kfac_expand_transpose")
+
+
+def _sim(conv, op):
+    return ops._planned(conv, op, 2, True).sim
+
+
+@pytest.mark.parametrize("conv", STRIDE_ONE)
+@pytest.mark.parametrize("op", THROUGH_OUTPUT)
+def test_stride_one_output_legs_are_gathered_and_match_the_oracle(conv, op):
+    arrays = make_inputs(conv, op, np.random.default_rng(13))
+    assert compare(run_op(conv, op, arrays, simplify=True), oracle_run(conv, op, arrays)) <= 1e-12
+    prep = ops._planned(conv, op, 2, True)
+    sim = prep.sim
+    if op != "kfac_expand_transpose" or prep.gram is not None:  # the Gram's half is transpose_unfold
+        assert [s.kind for s in sim.steps] == [RewriteKind.GATHER] * conv.nd, op
+        assert sim.fold is None, op
+
+
+@pytest.mark.parametrize("op", ["input_vjp", "hesscale_input_diag"])
+def test_a_stride_one_input_vjp_is_one_gemm_over_one_gather_per_dimension(op):
+    # the flipped-kernel direct convolution: no fold, and the (k, i) window of
+    # v_y (d_y) is the one gathered operand, with one GEMM
+    for conv in STRIDE_ONE:
+        sim = _sim(conv, op)
+        assert sim.fold is None
+        assert [s.kind for s in sim.steps] == [RewriteKind.GATHER] * conv.nd
+        ((pos, gather),) = sim.gathers.items()
+        view = sim.spec.operand_indices[sim.kept.index(pos)]
+        for d in range(1, conv.nd + 1):
+            assert view.index(f"k{d}") + 1 == view.index(f"i{d}")
+        # the kernel leg walks the output leg backwards, D entries a step
+        assert sum(st < 0 for st in gather.strides) == conv.nd
+        assert len(sim.plan.steps) == 1
+
+
+def test_mixed_strides_gather_one_dimension_and_fold_the_other():
+    conv = ConvSpec(2, 1, 3, 4, (DimSpec(7, 3, 1, 1), DimSpec(8, 3, 2, 1)))
+    for op in ("input_vjp", "hesscale_input_diag", "transpose_unfold"):
+        sim = _sim(conv, op)
+        assert [s.kind for s in sim.steps] == [RewriteKind.GATHER, RewriteKind.FOLD], op
+        assert {"k1", "i1"} <= set(sim.spec.operand_indices[-1]) and "o2" in sim.spec.operand_indices[-1], op
+        arrays = make_inputs(conv, op, np.random.default_rng(14))
+        assert compare(run_op(conv, op, arrays, simplify=True), oracle_run(conv, op, arrays)) <= 1e-12, op
+
+
+def test_folds_that_would_sum_the_kernel_over_the_view_alone_stay_folds():
+    # fold_output carries k nowhere and im2col_vjp carries it on the same operand as o
+    for conv in STRIDE_ONE:
+        for op in ("fold_output", "im2col_vjp"):
+            sim = _sim(conv, op)
+            assert [s.kind for s in sim.steps] == [RewriteKind.FOLD] * conv.nd, op
+
+
+def test_convnext_dw_input_vjp_plans_no_more_flops_with_rewrites():
+    conv = dict(load_layers(None))["convnext_dw"]
+    costs = op_cost(conv, "input_vjp")
+    assert [s.kind for s in costs.rewrites] == [RewriteKind.GATHER] * conv.nd
+    assert costs.simplified.flops <= costs.base.flops

@@ -21,8 +21,12 @@ LAYERS = (
     ConvSpec(7, 1, 2, 3, (DimSpec(4, 2, 1, 1), DimSpec(3, 2), DimSpec(5, 3, 2, 2))),
     ConvSpec(7, 3, 3, 3, (DimSpec(8, 3, 1, 1), DimSpec(7, 3, 1, 1))),
 )
-# n in the output, n summed, and a fold
-OPS = ("conv_forward", "per_sample_weight_vjp", "weight_vjp", "input_vjp", "hesscale_weight_diag")
+# n in the output, n summed, a gather through the output leg where the stride
+# is 1 and a fold where it is not, and a fold alone
+OPS = (
+    "conv_forward", "per_sample_weight_vjp", "weight_vjp", "input_vjp", "hesscale_weight_diag",
+    "hesscale_input_diag", "fold_output",
+)
 
 
 @pytest.fixture(autouse=True)
@@ -89,8 +93,9 @@ def test_sliced_crs_matches_the_whole_batch(monkeypatch, conv):
 
 
 def test_what_stays_whole(monkeypatch):
-    # with every copy over the constant: no GEMM step, a mirrored form, a
-    # dense pattern table (simplify off) and a masked CRS dimension stay whole
+    # with every copy over the constant: neither a GEMM step nor a fold stage
+    # that adds shifted slices (fold_output has one), a mirrored form, a dense
+    # pattern table (simplify off) and a masked CRS dimension stay whole
     monkeypatch.setattr(ops, "_SLICE_BYTES", 1)
     conv = LAYERS[1]
     cut = {}
@@ -102,7 +107,7 @@ def test_what_stays_whole(monkeypatch):
             cut[op, simplify] = prep.cut is not None
             assert not (cut[op, simplify] and prep.gram is not None), op
     assert not any(c for (op, simplify), c in cut.items() if not simplify)
-    stepless = ("unfold_input", "fold_output", "transpose_unfold", "im2col_jvp", "im2col_vjp")
+    stepless = ("unfold_input", "transpose_unfold", "im2col_jvp", "im2col_vjp")
     mirrored = {op for op in OP_NAMES if op.startswith(("kfac", "ggn"))} | {"per_sample_ggn_diagonal"}
     assert {op for (op, simplify), c in cut.items() if c} == (
         set(OP_NAMES) - set(stepless) - mirrored - {"unfold_kernel"}
