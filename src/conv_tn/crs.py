@@ -3,13 +3,21 @@
 The weight VJP sums over the batch, the input channels, and the input
 spatial locations.  Dropping a random subset of channel or spatial indices
 and rescaling the survivors by the inverse keep probability gives an
-unbiased estimate at a fraction of the cost.  Channels are sampled per
-group (the same channel subset in every group), spatial axes are sampled
-by narrowing the input together with the matching pattern rows.  The axes
-are named ``c_in`` and ``i1`` ... ``i<nd>``, one per spatial dimension.
+unbiased estimate at a fraction of the cost: this is the tensor dropout
+(column-row sampling) of the paper.  Channels are sampled per group (the
+same channel subset in every group), spatial axes by keeping the input's
+rows on that axis.  The axes are named ``c_in`` and ``i1`` ... ``i<nd>``,
+one per spatial dimension.
+
 The ``weight_vjp`` network then runs at the narrowed shapes as every op
-runs, with simplify on: the pattern of each unmasked dimension is gathered,
-and a narrowed table, the pattern of no ``DimSpec``, stays dense.
+runs, with simplify on, and the pattern of each unmasked dimension is
+gathered.  A masked dimension of stride 1 has no pattern left: ``v_y`` is
+read through its output leg at the kept rows only, by one index take that
+turns its axis ``o`` into ``(k, i)`` (``o == i + P - k*D``), so the GEMM
+sums over the kept rows and costs the kept fraction of the exact one.  A
+masked dimension of stride > 1 keeps its table narrowed to the kept rows,
+the pattern of no ``DimSpec``, which stays dense.  The plan cache is keyed
+by shapes, so a fresh mask with the same kept counts reuses the plan.
 
 ``masked_weight_vjp`` is the deterministic core: it takes explicit boolean
 masks so tests can enumerate every outcome.  ``crs_weight_vjp`` draws the
@@ -19,13 +27,13 @@ masks from a seeded generator.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .ops import ConvSpec, Network, _prepare, build_network
-from .pattern import pattern
+from .pattern import output_size, pattern
 from .tensor import ShapeMismatch, Tensor, Unsupported
 
 _SPATIAL_AXIS = re.compile(r"i([1-9][0-9]*)")
@@ -110,13 +118,9 @@ def masked_weight_vjp(
         scale /= float(p)
 
     out_shape = (conv.c_out, cig, *conv.kernel_sizes)
-    tables = [np.asarray(pattern(d).table) for d in conv.dims]
-    for spatial in range(conv.nd):
-        mask = checked.get(f"i{spatial + 1}")
-        if mask is None:
-            continue
-        x = np.compress(mask, x, axis=2 + spatial)
-        tables[spatial] = np.compress(mask, tables[spatial], axis=0)
+    spatial = {d: checked[f"i{d + 1}"] for d in range(conv.nd) if f"i{d + 1}" in checked}
+    for d, mask in spatial.items():
+        x = np.compress(mask, x, axis=2 + d)
     c_mask = checked.get("c_in")
     if c_mask is not None:
         kept = int(c_mask.sum())
@@ -126,25 +130,58 @@ def masked_weight_vjp(
     if x.size == 0:
         return np.zeros(out_shape)
 
-    operands = [x, *tables, v_y]
+    windowed = tuple(d for d in spatial if conv.dims[d].stride == 1)
+    tables = [
+        np.compress(spatial[d], pattern(dim).table, axis=0) if d in spatial else pattern(dim).table
+        for d, dim in enumerate(conv.dims)
+        if d not in windowed
+    ]
+    operands = [x, *tables, _window(v_y, conv, {d: spatial[d] for d in windowed})]
     shapes = tuple(a.shape for a in operands)
-    masked = tuple(1 + d for d in range(conv.nd) if f"i{d + 1}" in checked)  # table positions
 
     def make_net() -> Network:
-        # weight_vjp's network at the masked shapes; a masked table has no role and stays dense
+        # weight_vjp's network at the masked shapes, where v_y's o_d is (k_d, i_d) and
+        # dimension d has no table for each windowed d; a narrowed table has no role
         net = build_network(conv, "weight_vjp")
-        net.operands = [np.broadcast_to(0.0, shape) for shape in shapes]
-        net.roles = {p: d for p, d in net.roles.items() if p not in masked}
-        net.sources = tuple(None if p in masked else s for p, s in enumerate(net.sources))
-        return net
+        lhs, out = net.equation.split(" -> ")
+        terms = lhs.split(", ")
+        for d in windowed:
+            terms[-1] = re.sub(rf"\bo{d + 1}\b", f"k{d + 1} i{d + 1}", terms[-1])
+        keep = [p for p in range(len(terms)) if p - 1 not in windowed]  # the tables are at 1 + d
+        return replace(
+            net,
+            equation=", ".join(terms[p] for p in keep) + " -> " + out,
+            operands=[np.broadcast_to(0.0, shape) for shape in shapes],
+            roles={keep.index(p): dim for p, dim in net.roles.items() if p - 1 not in spatial},
+            sources=tuple(None if p - 1 in spatial else net.sources[p] for p in keep),
+        )
 
-    prep = _prepare(("crs_weight_vjp", conv, shapes, masked), make_net, True)
+    # the key holds shapes, never a mask: a fresh mask with the same kept counts reuses the plan
+    prep = _prepare(("crs_weight_vjp", conv, shapes, tuple(spatial)), make_net, True)
     est = prep.run(operands) * scale
     if c_mask is not None:
         full = np.zeros(out_shape)
         full[:, c_mask] = est
         return full
     return est
+
+
+def _window(v_y: np.ndarray, conv: ConvSpec, masks: dict[int, np.ndarray]) -> np.ndarray:
+    """``v_y`` with each axis ``o_d`` of ``masks`` read as ``(k_d, i_d)`` over the rows ``i`` that
+    ``masks[d]`` keeps.
+
+    At stride 1 the kernel tap ``k`` of input row ``i`` meets ``o == i + P - k*D``,
+    so entry ``[k, j]`` is ``v_y[i + P - k*D]`` at the ``j``-th kept ``i``, or
+    zero where that falls outside ``[0, O)``: one index take per axis, which
+    reads a clipped index there and then zeroes those taps.
+    """
+    for d in sorted(masks, reverse=True):  # each take widens its axis, so later axes go first
+        dim, axis = conv.dims[d], 2 + d
+        taps = dim.padding - dim.dilation * np.arange(dim.kernel_size)[:, None]
+        o = np.flatnonzero(masks[d]) + taps
+        v_y = np.take(v_y, o, axis=axis, mode="clip")
+        v_y[(slice(None),) * axis + ((o < 0) | (o >= output_size(dim)),)] = 0.0
+    return v_y
 
 
 def crs_weight_vjp(

@@ -112,7 +112,10 @@ class Network:
     """One ready-to-contract tensor network.
 
     ``sources`` names, per operand, the input array it holds (``x^2`` for
-    the square of ``x``) or the ``(legs, DimSpec)`` of its pattern table (None if CRS-masked).
+    the square of ``x``) or the ``(legs, DimSpec)`` of its pattern table.
+    In a CRS network (``crs``) a table narrowed to the kept rows of a
+    stride > 1 dimension is None; ``x`` holds its kept rows, and ``v_y`` its
+    window take over them where a masked dimension has stride 1.
     ``gram`` is its op's table entry's: the network is the Gram of its first
     half, which may be contracted once and joined to its renamed copy.
     """

@@ -1,5 +1,7 @@
 """Randomized channel and pixel subsampling of the weight gradient."""
 
+import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -14,7 +16,7 @@ from conv_tn.crs import (
     masked_weight_vjp,
     normalized_error,
 )
-from conv_tn.ops import ConvSpec, input_shapes, weight_vjp
+from conv_tn.ops import ConvSpec, input_shapes, op_cost, weight_vjp
 from conv_tn.pattern import DimSpec
 from conv_tn.simplify import RewriteKind
 from conv_tn.tensor import ShapeMismatch, Unsupported
@@ -113,6 +115,8 @@ def test_pixel_enumeration_is_unbiased():
     for conv, axis in (
         (ConvSpec(1, 1, 1, 2, (DimSpec(3, 2),)), "i1"),
         (ConvSpec(2, 2, 2, 2, (DimSpec(3, 2), DimSpec(4, 2, 2), DimSpec(3, 2, 1, 1))), "i3"),
+        # dilation 2 and padding 3 > (K-1)*D: rows at both ends meet taps outside [0, O)
+        (ConvSpec(2, 1, 2, 2, (DimSpec(6, 2, 1, 3, 2),)), "i1"),
     ):
         x, v_y = data(conv, seed=6)
         exact = weight_vjp(conv, x, v_y).weight
@@ -189,20 +193,47 @@ def test_depthwise_after_same_shape_dense_layer():
         assert np.allclose(est, exact, rtol=1e-12, atol=1e-12)
 
 
+def _arrays(obj):
+    """Every numpy array reachable from ``obj`` through containers and dataclasses."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+    elif isinstance(obj, dict):
+        yield from _arrays(list(obj.items()))
+    elif isinstance(obj, slice):
+        yield from _arrays((obj.start, obj.stop, obj.step))
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        yield from _arrays([getattr(obj, f.name) for f in dataclasses.fields(obj)])
+
+
 def test_plan_cache_keeps_no_operand_data():
-    # a cached plan holds zero placeholders of the operands' shapes, so it
-    # keeps no caller's array (nor a masked copy of one) alive
-    conv = ConvSpec(2, 1, 2, 3, (DimSpec(6, 3, 1, 1), DimSpec(5, 2)))
+    # a cached plan holds zero placeholders of the operands' shapes and the
+    # shared read-only pattern tables, so it keeps no caller's array, no masked
+    # copy of one, no mask and no index array alive; nor does its key
+    conv = ConvSpec(2, 1, 2, 3, (DimSpec(6, 3, 1, 1), DimSpec(5, 2, 2)))
     rng = np.random.default_rng(0)
     shapes = input_shapes(conv, "weight_vjp")
     x, v_y = (rng.standard_normal(shapes[k]) for k in ("x", "v_y"))
     ops._PREP_CACHE.clear()
     masks = {"c_in": np.array([True, False]), "i1": np.array([1, 0, 1, 1, 0, 1], dtype=bool)}
     masked_weight_vjp(conv, x, v_y, masks, {"c_in": 0.5, "i1": 0.5})
+    masks["i2"] = np.array([0, 1, 1, 0, 1], dtype=bool)  # a stride-2 table too
+    masked_weight_vjp(conv, x, v_y, masks, {"c_in": 0.5, "i1": 0.5, "i2": 0.6})
     weight_vjp(conv, x, v_y, simplify=True)
-    assert len(ops._PREP_CACHE) == 2
-    for prep in ops._PREP_CACHE.values():
+    assert len(ops._PREP_CACHE) == 3
+    # other masks that keep as many rows and channels reuse the plans
+    masks = {"c_in": np.array([False, True]), "i1": np.array([0, 1, 1, 0, 1, 1], dtype=bool)}
+    masked_weight_vjp(conv, x, v_y, masks, {"c_in": 0.5, "i1": 0.5})
+    masks["i2"] = np.array([1, 1, 0, 0, 1], dtype=bool)
+    masked_weight_vjp(conv, x, v_y, masks, {"c_in": 0.5, "i1": 0.5, "i2": 0.6})
+    assert len(ops._PREP_CACHE) == 3
+    for key, prep in ops._PREP_CACHE.items():
         assert all(not any(a.strides) for a in prep.net.operands)
+        assert not list(_arrays(key))
+        for a in _arrays(prep):
+            assert a.dtype == np.float64 and (not any(a.strides) or not a.flags.writeable)
 
 
 def _zeroed(conv, x, masks):
@@ -235,9 +266,135 @@ def test_estimate_is_the_exact_vjp_of_the_zero_masked_input(conv):
             ops._PREP_CACHE.clear()
             est = masked_weight_vjp(conv, x, v_y, masks, keep)
             assert compare(est, exact) <= 1e-12, chosen
-            # every dimension left unmasked is gathered; the masked ones stay dense tables
+            # every dimension left unmasked is gathered, a masked one of stride 1 leaves
+            # no table, and a masked one of stride > 1 keeps its narrowed table dense
             [prep] = ops._PREP_CACHE.values()
-            unmasked = [1 + d for d in range(conv.nd) if f"i{d + 1}" not in masks]
+            tables = _tables(conv, masks, prep)
+            unmasked = [d for d in range(conv.nd) if f"i{d + 1}" not in masks]
+            strided = [d for d in range(conv.nd) if f"i{d + 1}" in masks and conv.dims[d].stride > 1]
             assert [s.kind for s in prep.sim.steps] == [RewriteKind.GATHER] * len(unmasked), chosen
-            assert sorted(s.operand for s in prep.sim.steps) == unmasked, chosen
+            assert sorted(tables[s.operand] for s in prep.sim.steps) == unmasked, chosen
+            assert sorted(tables[p] for p in prep.sim.kept if p in tables) == strided, chosen
             assert prep.sim.fold is None and prep.gram is None, chosen
+
+
+def _tables(conv, masks, prep) -> dict[int, int]:
+    """The dimension of each pattern table in ``prep``'s network, by operand position.
+
+    A masked dimension of stride 1 has none; one of stride > 1 has its narrowed
+    table, whose source is None.
+    """
+    dims = [d for d in range(conv.nd) if f"i{d + 1}" not in masks or conv.dims[d].stride > 1]
+    positions = [p for p, src in enumerate(prep.net.sources) if not isinstance(src, str)]
+    assert len(positions) == len(dims) == len(prep.net.operands) - 2
+    for p, d in zip(positions, dims):
+        assert prep.net.sources[p] == (None if f"i{d + 1}" in masks else ("iok", conv.dims[d]))
+    return dict(zip(positions, dims))
+
+
+# Stride-1 layers, whose masked dimensions read v_y through a window take:
+# 1d-3d, grouped and depthwise, dilation 1-3, P below, at and beyond (K-1)*D;
+# the last mixes them with a stride-2 dimension, which keeps its table.
+WINDOWED = (
+    ConvSpec(2, 1, 2, 3, (DimSpec(7, 3, 1, 0, 2),)),
+    ConvSpec(2, 2, 4, 2, (DimSpec(8, 3, 1, 2, 1),)),
+    ConvSpec(2, 3, 3, 3, (DimSpec(6, 2, 1, 4, 3),)),
+    ConvSpec(2, 1, 2, 2, (DimSpec(6, 3, 1, 1), DimSpec(5, 2, 1, 2, 2))),
+    ConvSpec(2, 2, 2, 4, (DimSpec(5, 2, 1, 3, 1), DimSpec(8, 3, 1, 0, 3))),
+    ConvSpec(1, 1, 2, 2, (DimSpec(4, 2, 1, 1), DimSpec(5, 3, 1, 2, 1), DimSpec(6, 2, 1, 4, 3))),
+    ConvSpec(2, 2, 4, 2, (DimSpec(5, 2, 1, 0, 1), DimSpec(5, 2, 2, 1), DimSpec(5, 3, 1, 3, 2))),
+)
+
+
+def _spatial_mask(rng, size: int, case: str) -> np.ndarray:
+    """A keep mask that drops the first, the last or both end rows, keeps only the
+    ends (the taps that meet no output), or is random; it keeps at least one row."""
+    if case == "only ends":
+        return np.isin(np.arange(size), (0, size - 1))
+    mask = rng.random(size) < 0.5
+    mask[size // 2] = True
+    if case in ("drop first", "drop ends"):
+        mask[0] = False
+    if case in ("drop last", "drop ends"):
+        mask[-1] = False
+    return mask
+
+
+@pytest.mark.parametrize("conv", WINDOWED)
+def test_windowed_dimensions_give_the_exact_vjp_of_the_zero_masked_input(conv):
+    x, v_y = data(conv, seed=15)
+    rng = np.random.default_rng(16)
+    axes = [f"i{d + 1}" for d in range(conv.nd)]
+    for chosen in [(a,) for a in axes] + [tuple(axes), ("c_in", *axes)]:
+        for case in ("random", "drop first", "drop last", "drop ends", "only ends"):
+            masks = {a: _spatial_mask(rng, axis_size(conv, a), case) for a in chosen if a != "c_in"}
+            if "c_in" in chosen:
+                masks["c_in"] = np.arange(axis_size(conv, "c_in")) % 2 == 0
+            keep = {axis: 0.3 + 0.2 * j for j, axis in enumerate(chosen)}
+            exact = weight_vjp(conv, _zeroed(conv, x, masks), v_y).weight
+            exact /= np.prod(list(keep.values()))
+            est = masked_weight_vjp(conv, x, v_y, masks, keep)
+            assert compare(est, exact) <= 1e-12, (chosen, case)
+        # an all-false mask on any axis gives the zero estimate
+        masks = {a: np.full(axis_size(conv, a), a != chosen[0]) for a in chosen}
+        est = masked_weight_vjp(conv, x, v_y, masks, {a: 0.5 for a in chosen})
+        assert est.shape == (conv.c_out, conv.c_in // conv.groups, *conv.kernel_sizes)
+        assert not est.any(), chosen
+
+
+def _planned_flops(prep) -> int:
+    """The FLOPs a prepared network plans, summed over its slices of the batch."""
+    return sum((tail or prep.sim).plan.flops for _, _, tail in prep.slices)
+
+
+# the realistic benchmark layers at their sizes: stride 1, then stride > 1
+REALISTIC_WINDOWED = (
+    ConvSpec(8, 1, 32, 32, (DimSpec(32, 3, 1, 1), DimSpec(32, 3, 1, 1))),  # resnet_3x3
+    ConvSpec(8, 32, 32, 32, (DimSpec(32, 3, 1, 1), DimSpec(32, 3, 1, 1))),  # mobilenet_dw
+    ConvSpec(8, 1, 32, 32, (DimSpec(512, 3, 1, 4, 4),)),  # tcn_dilated
+)
+REALISTIC_STRIDED = (
+    ConvSpec(2, 1, 3, 32, (DimSpec(64, 7, 2, 3), DimSpec(64, 7, 2, 3))),  # resnet_stem
+    ConvSpec(4, 1, 3, 64, (DimSpec(64, 4, 4), DimSpec(64, 4, 4))),  # convnext_patchify
+    ConvSpec(8, 1, 32, 64, (DimSpec(32, 1, 2), DimSpec(32, 1, 2))),  # resnet_shortcut
+)
+
+
+def _half_mask(conv, axis: str, seed: int) -> np.ndarray:
+    size = axis_size(conv, axis)
+    mask = np.zeros(size, dtype=bool)
+    mask[np.random.default_rng(seed).permutation(size)[: size // 2]] = True
+    return mask
+
+
+@pytest.mark.parametrize("conv", REALISTIC_WINDOWED)
+def test_windowed_dimension_plans_the_kept_fraction(conv):
+    # at keep 0.5 a stride-1 masked dimension leaves no table, and the network
+    # plans at most 0.55x the exact weight_vjp's FLOPs over all its slices
+    x, v_y = (np.zeros(s) for s in input_shapes(conv, "weight_vjp").values())
+    ops._PREP_CACHE.clear()
+    masked_weight_vjp(conv, x, v_y, {"i1": _half_mask(conv, "i1", 18)}, {"i1": 0.5})
+    [prep] = ops._PREP_CACHE.values()
+    assert [s for s in prep.net.sources if not isinstance(s, str)] == [
+        ("iok", dim) for dim in conv.dims[1:]
+    ]
+    assert all(isinstance(prep.net.sources[p], str) for p in prep.sim.kept)
+    exact = op_cost(conv, "weight_vjp").simplified.flops
+    assert _planned_flops(prep) <= 0.55 * exact
+
+
+# A digest of each realistic stride > 1 layer's CRS plan with i1 kept at 0.5,
+# taken when every masked dimension contracted its narrowed table.
+STRIDED_DIGESTS = ("acb3c2b42372620e", "fca7b354a6041712", "af4b0a487caca9e2")
+
+
+@pytest.mark.parametrize("conv, digest", zip(REALISTIC_STRIDED, STRIDED_DIGESTS))
+def test_strided_dimension_keeps_its_table_and_plan(conv, digest):
+    x, v_y = (np.zeros(s) for s in input_shapes(conv, "weight_vjp").values())
+    ops._PREP_CACHE.clear()
+    masked_weight_vjp(conv, x, v_y, {"i1": _half_mask(conv, "i1", 19)}, {"i1": 0.5})
+    [prep] = ops._PREP_CACHE.values()
+    assert prep.net.sources[1] is None and 1 in prep.sim.kept
+    assert prep.slices == ops._WHOLE
+    h = hashlib.sha256(repr((prep.net.equation, prep.sim.steps, prep.sim.gathers, prep.sim.plan)).encode())
+    assert h.hexdigest()[:16] == digest

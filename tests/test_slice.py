@@ -95,7 +95,8 @@ def test_sliced_crs_matches_the_whole_batch(monkeypatch, conv):
 def test_what_stays_whole(monkeypatch):
     # with every copy over the constant: neither a GEMM step nor a fold stage
     # that adds shifted slices (fold_output has one), a mirrored form, a dense
-    # pattern table (simplify off) and a masked CRS dimension stay whole
+    # pattern table (simplify off) and a CRS-masked dimension of stride > 1 stay
+    # whole; a CRS-masked dimension of stride 1 leaves no table, so it is cut
     monkeypatch.setattr(ops, "_SLICE_BYTES", 1)
     conv = LAYERS[1]
     cut = {}
@@ -115,6 +116,10 @@ def test_what_stays_whole(monkeypatch):
     x, v_y = make_inputs(conv, "weight_vjp", np.random.default_rng(5)).values()
     ops._PREP_CACHE.clear()
     masked_weight_vjp(conv, x, v_y, {"i1": np.arange(6) % 2 == 0}, {"i1": 0.5})
+    [prep] = ops._PREP_CACHE.values()
+    assert prep.cut is not None
+    ops._PREP_CACHE.clear()
+    masked_weight_vjp(conv, x, v_y, {"i2": np.arange(5) % 2 == 0}, {"i2": 0.5})
     [prep] = ops._PREP_CACHE.values()
     assert prep.cut is None
 
