@@ -30,8 +30,11 @@ pattern roles when simplify is off, which removes nothing) and planned from
 shapes alone, and cached on (op, layer, columns, simplify) with the list of
 arrays and pattern tables a call fills its operands from.  A warm call
 converts each array to float64 and checks its shape, the only check it
-makes, then gathers, contracts and folds once per slice of the batch (one
-slice unless the network's copies are large, see ``_SLICE_BYTES``), takes
+makes, then gathers once per slice of the batch and contracts and folds
+once per tile of the slice.  That is one slice and one tile unless the
+network's copies are large: then a slice holds as many samples as keep its
+copies under ``_SLICE_BYTES``, and where one sample's copy is still larger,
+a tile holds as many rows of its window's first spatial leg.  It then takes
 the Gram of a declared Gram's half, and scales, each where the prepared
 network has it.
 """
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import zip_longest
 from typing import NamedTuple
@@ -142,13 +145,16 @@ class MirrorCost(NamedTuple):
 
 
 class SliceCost(NamedTuple):
-    """A network cut over its batch index ``index``, ``size`` samples per slice.
+    """How a network is cut: ``legs`` maps each cut leg to its size in one part.
 
-    ``copied_bytes`` is the largest array that one slice copies.
+    That is ``n`` to the samples per slice where the batch is cut, and the
+    window's first spatial leg (``o1``, or ``i1`` for a window through the
+    output leg) to the rows per tile where one sample is tiled.
+    ``copied_bytes`` is the largest array that one part, a tile where
+    there are tiles, copies.
     """
 
-    index: str
-    size: int
+    legs: dict[str, int]
     copied_bytes: int
 
 
@@ -455,25 +461,32 @@ def _mirror(net: Network, spec: einsum.EinsumSpec, roles: dict) -> tuple[Simplif
     return half, _Gram(final, plan, shared)
 
 
-# A network is cut over its batch index n so that the largest array a slice
-# copies, its window tensor as a rule, stays under this many bytes, and so
-# that a one-sample result is already in the output's order.  On one BLAS
-# thread (2-core Xeon, 2 MB of L2 per core), fastest of 5 calls over 11
-# alternating rounds: resnet_3x3 conv_forward (2.4 MB of windows per sample)
-# took 8.4 ms whole and 6.6 ms in slices of one sample, 11 rounds of 11, and
-# on tcn_dilated (393 KB per sample) slices of one beat slices of two in 9
-# to 11 of 11 rounds on every GEMM op.  The largest whole-batch copy of a
-# bundled layer is 602 KB (convnext_dw), so no bundled network is cut.
+# A network is cut over its batch index n so that the largest array a part
+# copies, its window tensor as a rule, stays under this many bytes: into
+# slices of samples, and where one sample's copy is still larger, each
+# sample into tiles over its window's first spatial leg.  A one-sample result
+# is already in the output's order, and a tile's rows land in its rows of the
+# output.  On one BLAS thread (2-core Xeon, 2 MB of L2 per core), fastest of
+# 5 calls over 11 alternating rounds: resnet_3x3 conv_forward (2.4 MB of
+# windows per sample) took 8.4 ms whole and 6.6 ms in slices of one sample,
+# 11 rounds of 11, and on tcn_dilated (393 KB per sample) slices of one beat
+# slices of two in 9 to 11 of 11 rounds on every GEMM op.  In tiles of 8 of
+# its 32 rows (590 KB each) resnet_3x3 conv_forward took 6.0 ms, fastest of
+# 21 calls, and tiles of 4 rows were no faster.  The largest whole-batch copy
+# of a bundled layer is 602 KB (convnext_dw), so no bundled network is cut.
 _SLICE_BYTES = 640 << 10
 
 _WHOLE = ((None, None, None),)  # one slice: the whole batch
 
 
 def _copied(sim: SimplifyResult) -> int:
-    """Elements of the largest array over ``n`` that ``sim`` copies.
+    """Elements of the largest array that ``sim`` copies per part of its batch.
 
     That is a window view or a permuted operand that a step of its plan
-    reshapes, or the contraction result that its fold writes back.
+    reshapes, or the contraction result that its fold writes back, among
+    those that hold ``n``, since only those shrink with a slice of the
+    batch.  A tile of one sample shrinks those that also hold its leg, as
+    every window does.
     """
     spec, idx = sim.spec, list(sim.spec.operand_indices)
     windows = {a for a, p in enumerate(sim.kept) if p in sim.gathers}
@@ -486,20 +499,81 @@ def _copied(sim: SimplifyResult) -> int:
     return max((math.prod(spec.sizes[i] for i in c) for c in copies if "n" in c), default=0)
 
 
+def _bare(index: str, spec: einsum.EinsumSpec) -> bool:
+    """Whether ``index`` is a bare axis wherever ``spec`` holds it, the output included."""
+    terms = (*spec.operand_terms, spec.output_term)
+    flats = (*spec.operand_indices, spec.output_indices)
+    return all((index in term) == (index in flat) for term, flat in zip(terms, flats))
+
+
+def _parts(spec: einsum.EinsumSpec, leg: str, rows: int, full, tail) -> tuple:
+    """``spec``'s ``leg`` cut into parts of ``rows``.
+
+    Per part: the index of its view of each operand (None where the operand
+    has no ``leg``) and of the output (None where ``leg`` is summed), then
+    ``full``, or ``tail`` for a short last part.
+    """
+    axes = [t.index(leg) if leg in t else None for t in (*spec.operand_terms, spec.output_term)]
+    size, parts = spec.sizes[leg], []
+    for lo in range(0, size, rows):
+        hi = min(lo + rows, size)
+        idx = [None if a is None else (slice(None),) * a + (slice(lo, hi),) for a in axes]
+        parts.append((tuple(idx[:-1]), idx[-1], full if hi - lo == rows else tail))
+    return tuple(parts)
+
+
+def _tiling(spec: einsum.EinsumSpec, sim: SimplifyResult):
+    """The tiles of one sample's ``sim``, its tiled leg, the leg's rows and a tile's copy, or None.
+
+    A network with no fold whose one-sample copy (``_copied``) exceeds
+    ``_SLICE_BYTES`` is tiled over the first spatial leg of its first
+    window: ``o1`` where the window reads an input leg, ``i1`` where it
+    reads the output leg at stride 1.  That leg must be a bare axis
+    wherever it appears, and longer than one row.  Each tile has the most
+    rows whose copy stays under ``_SLICE_BYTES``, at least one.  The
+    rewritten spec is planned once at a tile's size and once at a short
+    last tile's, with no second rewrite: a tile is a view of the
+    one-sample window and of every other operand over the leg.
+    """
+    copied = 8 * _copied(sim)
+    if sim.fold is not None or not sim.gathers or copied <= _SLICE_BYTES:
+        return None
+    p = min(sim.gathers)
+    window = sim.spec.operand_terms[sim.kept.index(p)]
+    leg = [a for a in window if a not in spec.operand_terms[p]][1]  # a gathered axis is (k, leg)
+    size = sim.spec.sizes[leg]
+    rows = max(1, _SLICE_BYTES * size // copied)
+    if rows == size or not _bare(leg, sim.spec):
+        return None
+
+    def at(m: int) -> SimplifyResult:
+        tile = einsum.make_spec(sim.spec.operand_terms, sim.spec.output_term, sim.spec.sizes | {leg: m})
+        return replace(sim, spec=tile, plan=einsum.plan(tile))
+
+    full = at(rows)
+    tiles = _parts(sim.spec, leg, rows, full, at(size % rows) if size % rows else None)
+    return tiles, leg, rows, 8 * _copied(full)
+
+
 def _slicing(net: Network, spec: einsum.EinsumSpec, sim: SimplifyResult, roles: dict):
-    """``sim`` replanned for one slice of the batch, the slices and their cost, or None.
+    """``sim`` replanned for one slice of the batch, the slices, the tiles of one slice, their
+    cost and whether parts of the output add up, or None.
 
     A network with no mirrored form (the choice between a mirror and the
     full network compares whole-batch plans), with a GEMM step or a fold
     stage that adds shifted copies of a result holding no kernel leg, with
-    no pattern table left (each slice would read it again), and whose ``n``
+    no pattern table left (each part would read it again), and whose ``n``
     is a bare axis wherever it appears, and the output's first if there,
     is cut into slices of the most samples whose largest copy
     (``_copied``) stays under ``_SLICE_BYTES``, at least one.  It runs as
     one slice when that is the whole batch.  Per slice, ``take`` holds each
     operand's index that selects the slice (None where the operand has no
     ``n``), ``put`` the output's (None where ``n`` is summed), and ``tail``
-    the rewrites and plan of a last slice that is short, else None.
+    the rewrites and plan of a last slice that is short, else None.  Where
+    one sample's copy is still larger, each slice is also cut into tiles
+    (``_tiling``), which hold the same per rewritten operand and their own
+    plan.  Parts add up where one cut leg is summed and another is not:
+    ``per_sample_weight_vjp``'s tiles into their sample of the output.
 
     Such a fold stage (``fold_output``'s) then adds into slices that stay
     in cache: on one BLAS thread (2-core Xeon), fastest of 7 calls over 15
@@ -517,30 +591,28 @@ def _slicing(net: Network, spec: einsum.EinsumSpec, sim: SimplifyResult, roles: 
         not (sim.plan.steps or shifting)
         or n not in spec.sizes
         or not all(isinstance(net.sources[p], str) for p in sim.kept)
-    ):
-        return None
-    batch, copied = spec.sizes[n], _copied(sim)
-    size = max(1, _SLICE_BYTES * batch // (8 * copied)) if copied else batch
-    terms = (*spec.operand_terms, out)
-    flats = (*spec.operand_indices, spec.output_indices)
-    if (
-        size >= batch
-        or any((n in term) != (n in flat) for term, flat in zip(terms, flats))  # n inside a group
+        or not _bare(n, spec)
         or n in out[1:]  # a slice of the output would not be contiguous
     ):
         return None
+    batch, copied = spec.sizes[n], 8 * _copied(sim)
+    size = max(1, _SLICE_BYTES * batch // copied) if copied else batch
+    legs, slices = {}, _WHOLE
+    if size < batch:
 
-    def at(m: int) -> SimplifyResult:
-        return simplify_structure(einsum.make_spec(spec.operand_terms, out, spec.sizes | {n: m}), roles)
+        def at(m: int) -> SimplifyResult:
+            return simplify_structure(einsum.make_spec(spec.operand_terms, out, spec.sizes | {n: m}), roles)
 
-    axes = [term.index(n) if n in term else None for term in spec.operand_terms]
-    tail = at(batch % size) if batch % size else None
-    slices = []
-    for lo in range(0, batch, size):
-        hi = min(lo + size, batch)
-        take = tuple(None if a is None else (slice(None),) * a + (slice(lo, hi),) for a in axes)
-        slices.append((take, slice(lo, hi) if n in out else None, tail if hi - lo < size else None))
-    return at(size), tuple(slices), SliceCost(n, size, 8 * copied * size // batch)
+        legs[n], sim = size, at(size)
+        slices = _parts(spec, n, size, None, at(batch % size) if batch % size else None)
+        copied = copied * size // batch
+    tiles, tiling = None, _tiling(spec, sim) if size == 1 else None
+    if tiling is not None:
+        tiles, leg, legs[leg], copied = tiling
+    if not legs:
+        return None
+    adds = len({leg in spec.output_indices for leg in legs}) == 2
+    return sim, slices, tiles, SliceCost(legs, copied), adds
 
 
 class _Prepared(NamedTuple):
@@ -550,11 +622,13 @@ class _Prepared(NamedTuple):
     network, or of its first half when ``gram`` is set, for one slice of
     the batch (``_slicing``); ``operands`` and ``args`` are ``_program``'s
     for the operands it keeps.  ``run`` zeroes the padded gather buffers
-    once, then per slice gathers, contracts and folds, and writes the
-    result into its view of the output, or adds it there where ``n`` is
-    summed; an uncut network is one slice, whose result is the output.  It
-    then takes the Gram if there is one, copies a result that is a view of
-    the operand at ``alias``, and scales in place.
+    once, then per slice gathers, and per tile of the slice (the whole
+    slice where ``tiles`` is None) contracts its views of the gathered
+    operands and folds.  It writes each part's result into its view of the
+    output, or adds it there where a cut leg is summed; an uncut network
+    is one part, whose result is the output.  It then takes the Gram if
+    there is one, copies a result that is a view of the operand at
+    ``alias``, and scales in place.
     """
 
     net: Network  # the network it was planned from, with zero placeholders as operands
@@ -565,7 +639,9 @@ class _Prepared(NamedTuple):
     args: tuple
     alias: int | None
     slices: tuple = _WHOLE
+    tiles: tuple | None = None
     cut: SliceCost | None = None
+    adds: bool = False  # parts over a summed cut leg add into parts of the output
 
     def run(self, operands) -> Tensor:
         sim, gram, scale = self.sim, self.gram, self.net.scale
@@ -574,19 +650,27 @@ class _Prepared(NamedTuple):
             if tail is not None:
                 sim, buffers = tail, {}
             part = operands if take is None else [a if t is None else a[t] for a, t in zip(operands, take)]
-            z = einsum.contract(sim.spec, sim.apply(part, buffers), sim.plan)
-            if put is None:  # the whole batch, or a slice of a sum over n
-                if sim.fold is not None:
-                    z = sim.fold.apply(z)
-                out = z if out is None else np.add(out, z, out=out)
-            elif sim.fold is None:  # a slice of an output over n, written into its view
-                if out is None:
-                    out = np.empty(self.spec.output_shape())
-                out[put] = z
-            else:  # a fold writes only some entries of its zeroed view
-                if out is None:
-                    out = np.zeros(self.spec.output_shape())
-                sim.fold.apply(z, out[put])
+            part = sim.apply(part, buffers)
+            for view, at, tile in self.tiles or ((None, None, sim),):
+                views = part if view is None else [a if v is None else a[v] for a, v in zip(part, view)]
+                z = einsum.contract(tile.spec, views, tile.plan)
+                if put is None and at is None:  # the whole output, or a part of a sum over every cut leg
+                    if tile.fold is not None:
+                        z = tile.fold.apply(z)
+                    out = z if out is None else np.add(out, z, out=out)
+                    continue
+                if out is None:  # zeroed where a fold writes only some entries or parts add up
+                    zeroed = self.adds or tile.fold is not None
+                    out = (np.zeros if zeroed else np.empty)(self.spec.output_shape())
+                target = out if put is None else out[put]
+                if at is not None:
+                    target = target[at]
+                if tile.fold is not None:
+                    tile.fold.apply(z, target)
+                elif self.adds:
+                    target += z
+                else:
+                    target[...] = z
         if gram is not None:
             out = einsum.contract(gram.spec, (out, out if gram.shared else out.copy()), gram.plan)
         elif self.alias is not None and np.may_share_memory(out, operands[self.alias]):
@@ -632,9 +716,9 @@ def _prepare(key, make_net, use_simplify: bool) -> _Prepared:
         sim, gram = mirror
         stepless = gram is None and sim.fold is None and not sim.plan.steps and not sim.plan.output.presum
         sliced = None if mirrored is not None else _slicing(net, spec, sim, roles)
-        sim, slices, cut = sliced or (sim, _WHOLE, None)
+        sim, slices, tiles, cut, adds = sliced or (sim, _WHOLE, None, None, False)
         alias = sim.kept[0] if stepless else None
-        hit = _Prepared(net, spec, sim, gram, *_program(net, sim.kept), alias, slices, cut)
+        hit = _Prepared(net, spec, sim, gram, *_program(net, sim.kept), alias, slices, tiles, cut, adds)
         if len(_PREP_CACHE) >= 4096:
             _PREP_CACHE.clear()
         _PREP_CACHE[key] = hit

@@ -13,7 +13,7 @@ from conv_tn.ops import OP_NAMES, ConvSpec, op_cost, run_op
 from conv_tn.pattern import DimSpec
 from conv_tn.simplify import simplify_structure
 from conv_tn.tensor import Unsupported
-from conv_tn.verify import compare, make_inputs, oracle_run
+from conv_tn.verify import compare, default_grid, make_inputs, oracle_run
 
 CURVATURE = (
     "kfac_expand_factor",
@@ -113,17 +113,45 @@ def _curvature_layers():
     return layers
 
 
-def test_chosen_evaluation_never_plans_more_than_the_full_network():
+def _check_chosen_evaluation(name, conv):
     # the full network is planned here even where _prepare skips it
+    for op in CURVATURE:
+        for simplify in (False, True):
+            prep = ops._planned(conv, op, 2, simplify)
+            full = simplify_structure(prep.spec, prep.net.roles if simplify else {}).plan.flops
+            chosen = prep.sim.plan.flops + (prep.gram.plan.flops if prep.gram else 0)
+            assert chosen <= full, (name, op, simplify)
+            flops, _ = op_cost(conv, op).ran(simplify)
+            assert flops == chosen, (name, op, simplify)
+
+
+def test_chosen_evaluation_never_plans_more_than_the_full_network():
     for name, conv in _curvature_layers().items():
-        for op in CURVATURE:
-            for simplify in (False, True):
-                prep = ops._planned(conv, op, 2, simplify)
-                full = simplify_structure(prep.spec, prep.net.roles if simplify else {}).plan.flops
-                chosen = prep.sim.plan.flops + (prep.gram.plan.flops if prep.gram else 0)
-                assert chosen <= full, (name, op, simplify)
-                flops, _ = op_cost(conv, op).ran(simplify)
-                assert flops == chosen, (name, op, simplify)
+        _check_chosen_evaluation(name, conv)
+
+
+# Layers of verify's default grid (25 layers, seed 0) on which _surely_cheaper
+# skips a full network that plans fewer FLOPs than the mirror that runs: the
+# rule is a heuristic, and these are its known counterexamples.
+SURELY_CHEAPER_MISSES = {
+    1: "kfac_reduce_transpose, both modes: 540 FLOPs mirrored against 345 full",
+    10: "kfac_reduce_factor, both modes: 276 against 236",
+    12: "ggn_gram, simplify on: 320 against 204",
+    18: "ggn_gram, ggn_diagonal and per_sample_ggn_diagonal, simplify on: 48 and 32 against 20",
+}
+
+
+@pytest.mark.parametrize(
+    "index, conv",
+    [
+        pytest.param(i, conv, marks=pytest.mark.xfail(strict=True, reason=f"{conv}: {SURELY_CHEAPER_MISSES[i]}"))
+        if i in SURELY_CHEAPER_MISSES
+        else (i, conv)
+        for i, conv in enumerate(default_grid(count=25, seed=0))
+    ],
+)
+def test_chosen_evaluation_never_plans_more_than_the_full_network_on_the_default_grid(index, conv):
+    _check_chosen_evaluation(f"default grid layer {index}", conv)
 
 
 def test_kfac_expand_transpose_is_the_gram_of_transpose_unfold():
