@@ -17,6 +17,7 @@ configuration problems.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -108,12 +109,13 @@ def _selected_ops(args) -> tuple[str, ...]:
 
 
 def _out_stream(args):
+    """The ``--output`` file, which a ``with`` block closes, or stdout, which it leaves open."""
     if args.output:
         try:
             return open(args.output, "w", newline="")
         except OSError as exc:
             raise ConfigError(f"cannot write {args.output}: {exc}") from exc
-    return sys.stdout
+    return contextlib.nullcontext(sys.stdout)
 
 
 def cmd_verify(args) -> int:
@@ -168,11 +170,9 @@ def cmd_flops(args) -> int:
                     },
                 }
             )
-    stream = _out_stream(args)
-    json.dump(rows, stream, indent=2)
-    stream.write("\n")
-    if stream is not sys.stdout:
-        stream.close()
+    with _out_stream(args) as stream:
+        json.dump(rows, stream, indent=2)
+        stream.write("\n")
     print(f"skipped={skipped}", file=sys.stderr)
     return 0
 
@@ -194,11 +194,9 @@ def cmd_pattern(args) -> int:
         "nnz": pat.nnz,
         "triples": [list(t) for t in pat.triples()],
     }
-    stream = _out_stream(args)
-    json.dump(payload, stream, indent=2)
-    stream.write("\n")
-    if stream is not sys.stdout:
-        stream.close()
+    with _out_stream(args) as stream:
+        json.dump(payload, stream, indent=2)
+        stream.write("\n")
     return 0
 
 
@@ -214,11 +212,10 @@ def _time_call(fn, repeats: int) -> float:
 def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     layers, selected = load_layers(args.config), _selected_ops(args)
-    stream = _out_stream(args)
-    writer = csv.writer(stream)
-    writer.writerow(["layer", "op", "variant", "min_seconds", "flops", "max_intermediate"])
     skipped = 0
-    try:
+    with _out_stream(args) as stream:
+        writer = csv.writer(stream)
+        writer.writerow(["layer", "op", "variant", "min_seconds", "flops", "max_intermediate"])
         for (name, conv), op in itertools.product(layers, selected):
             arrays = make_inputs(conv, op, rng)
             try:
@@ -232,56 +229,49 @@ def cmd_bench(args) -> int:
                 secs = _time_call(lambda: tn_run(conv, op, arrays, simplify=simplify), args.repeats)
                 writer.writerow([name, op, variant, f"{secs:.6e}", *costs.ran(simplify)])
             writer.writerow([name, op, "oracle", f"{oracle_secs:.6e}", "", ""])
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     print(f"skipped={skipped}", file=sys.stderr)
     return 0
 
 
 def cmd_crs(args) -> int:
-    layers = load_layers(args.config)
-    name, conv = layers[0]
-    keep_probs = {}
-    if args.keep_c_in is not None:
-        keep_probs["c_in"] = args.keep_c_in
-    if args.keep_i1 is not None:
-        keep_probs["i1"] = args.keep_i1
-    if args.keep_i2 is not None:
-        keep_probs["i2"] = args.keep_i2
+    given = {"c_in": args.keep_c_in, "i1": args.keep_i1, "i2": args.keep_i2}
+    keep_probs = {axis: p for axis, p in given.items() if p is not None}
     if not keep_probs:
         raise ConfigError("give at least one of --keep-c-in/--keep-i1/--keep-i2")
-    # refuse the layer before the output file is opened, and so emptied
+    # refuse the probabilities, or a file with no layer that has every axis, before
+    # the output file is opened, and so emptied
     try:
         CrsConfig(keep_probs)
-        for axis in keep_probs:
-            axis_size(conv, axis)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    layers, fitting = load_layers(args.config), []
+    for name, conv in layers:
+        try:
+            for axis in keep_probs:
+                axis_size(conv, axis)
+        except Unsupported as exc:
+            refused = exc
+            continue
+        fitting.append((name, conv))
+    if not fitting:
+        raise ConfigError(f"no layer fits: {refused}")
     rng = np.random.default_rng(args.seed)
-    x = rng.standard_normal((conv.batch, conv.c_in, *conv.input_sizes))
-    v_y = rng.standard_normal((conv.batch, conv.c_out, *conv.out_sizes))
-    exact = ops.weight_vjp(conv, x, v_y).weight
-    stream = _out_stream(args)
-    writer = csv.writer(stream)
-    writer.writerow(["layer", "mask_seed", "normalized_error", "kept_c_in", "kept_i1", "kept_i2"])
-    try:
-        for mask_seed in range(args.seed, args.seed + args.seeds):
-            est = crs_weight_vjp(conv, x, v_y, CrsConfig(keep_probs, seed=mask_seed))
-            err = normalized_error(exact, est.weight)
-            writer.writerow(
-                [
-                    name,
-                    mask_seed,
-                    f"{err:.6e}",
-                    *(f"{est.kept_fraction.get(ax, 1.0):.4f}" for ax in ("c_in", "i1", "i2")),
-                ]
-            )
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(str(exc)) from exc
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+    with _out_stream(args) as stream:
+        writer = csv.writer(stream)
+        writer.writerow(["layer", "mask_seed", "normalized_error", "kept_c_in", "kept_i1", "kept_i2"])
+        for name, conv in fitting:
+            x = rng.standard_normal((conv.batch, conv.c_in, *conv.input_sizes))
+            v_y = rng.standard_normal((conv.batch, conv.c_out, *conv.out_sizes))
+            exact = ops.weight_vjp(conv, x, v_y).weight
+            for mask_seed in range(args.seed, args.seed + args.seeds):
+                est = crs_weight_vjp(conv, x, v_y, CrsConfig(keep_probs, seed=mask_seed))
+                try:
+                    err = normalized_error(exact, est.weight)
+                except ZeroDivisionError as exc:
+                    raise ConfigError(str(exc)) from exc
+                kept = (f"{est.kept_fraction.get(ax, 1.0):.4f}" for ax in ("c_in", "i1", "i2"))
+                writer.writerow([name, mask_seed, f"{err:.6e}", *kept])
+    print(f"skipped={len(layers) - len(fitting)}", file=sys.stderr)
     return 0
 
 

@@ -9,15 +9,18 @@ same channel subset in every group), spatial axes by keeping the input's
 rows on that axis.  The axes are named ``c_in`` and ``i1`` ... ``i<nd>``,
 one per spatial dimension.
 
-The ``weight_vjp`` network then runs at the narrowed shapes as every op
-runs, with simplify on, and the pattern of each unmasked dimension is
-gathered.  A masked dimension of stride 1 has no pattern left: ``v_y`` is
-read through its output leg at the kept rows only, by one index take that
-turns its axis ``o`` into ``(k, i)`` (``o == i + P - k*D``), so the GEMM
-sums over the kept rows and costs the kept fraction of the exact one.  A
-masked dimension of stride > 1 keeps its table narrowed to the kept rows,
-the pattern of no ``DimSpec``, which stays dense.  The plan cache is keyed
-by shapes, so a fresh mask with the same kept counts reuses the plan.
+The estimate runs ``weight_vjp``'s own network as every op runs, with
+simplify on, at ``x``'s kept rows and channels.  The plan cache is keyed by
+shapes, so a fresh mask with the same kept counts reuses the plan.  An
+unmasked dimension's pattern is gathered (im2col), as in the exact VJP.  A
+masked one is narrowed to the kept rows, whose indices its slot holds:
+
+* at stride 1, ``v_y``'s axis ``o`` is taken as ``(k, i)`` at those rows
+  (``o == i + P - k*D``), so the GEMM costs the kept fraction of the exact
+  one;
+* at stride > 1, the kept rows are put in their places in the gather's
+  zeroed buffer, which is then gathered and cut like the exact VJP, at its
+  cost.
 
 ``masked_weight_vjp`` is the deterministic core: it takes explicit boolean
 masks so tests can enumerate every outcome.  ``crs_weight_vjp`` draws the
@@ -33,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ops import ConvSpec, Network, _prepare, build_network
-from .pattern import output_size, pattern
+from .pattern import output_size
 from .tensor import ShapeMismatch, Tensor, Unsupported
 
 _SPATIAL_AXIS = re.compile(r"i([1-9][0-9]*)")
@@ -57,11 +60,20 @@ class CrsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for axis, p in self.keep_probs.items():
+        for axis in self.keep_probs:
             if axis != "c_in" and _dimension(axis) is None:
                 raise InvalidProbability(f"unknown axis {axis!r}, pick c_in or i<d> for d >= 1")
-            if not (0.0 < float(p) <= 1.0):
-                raise InvalidProbability(f"keep probability for {axis!r} must be in (0, 1], got {p}")
+            _keep_prob(self.keep_probs, axis)
+
+
+def _keep_prob(keep_probs: dict, axis: str) -> float:
+    """``keep_probs[axis]``, which must be given and lie in (0, 1]."""
+    p = keep_probs.get(axis)
+    if p is None:
+        raise InvalidProbability(f"no keep probability for masked axis {axis!r}")
+    if not (0.0 < float(p) <= 1.0):
+        raise InvalidProbability(f"keep probability for {axis!r} must be in (0, 1], got {p}")
+    return float(p)
 
 
 class CrsEstimate(NamedTuple):
@@ -101,64 +113,33 @@ def masked_weight_vjp(
     if v_y.shape != (conv.batch, conv.c_out, *conv.out_sizes):
         raise ShapeMismatch(f"output vector has shape {v_y.shape}")
 
-    scale = 1.0
-    checked: dict[str, np.ndarray] = {}
+    scale, c_mask = 1.0, None
+    rows = [None] * conv.nd  # the kept rows of each masked dimension, put in its pattern's slot
     for axis, mask in masks.items():
-        p = keep_probs.get(axis)
-        if p is None:
-            raise InvalidProbability(f"no keep probability for masked axis {axis!r}")
-        if not (0.0 < float(p) <= 1.0):
-            raise InvalidProbability(f"keep probability for {axis!r} must be in (0, 1], got {p}")
+        scale /= _keep_prob(keep_probs, axis)
         mask = np.asarray(mask)
         if mask.dtype != np.bool_ or mask.shape != (axis_size(conv, axis),):
-            raise ShapeMismatch(
-                f"mask for {axis!r} must be boolean of length {axis_size(conv, axis)}"
-            )
-        checked[axis] = mask
-        scale /= float(p)
+            raise ShapeMismatch(f"mask for {axis!r} must be boolean of length {axis_size(conv, axis)}")
+        if axis == "c_in":  # the same channels of every group
+            x, c_mask = np.compress(np.tile(mask, conv.groups), x, axis=1), mask
+        else:
+            d = _dimension(axis)
+            x, rows[d] = np.compress(mask, x, axis=2 + d), np.flatnonzero(mask)
 
     out_shape = (conv.c_out, cig, *conv.kernel_sizes)
-    spatial = {d: checked[f"i{d + 1}"] for d in range(conv.nd) if f"i{d + 1}" in checked}
-    for d, mask in spatial.items():
-        x = np.compress(mask, x, axis=2 + d)
-    c_mask = checked.get("c_in")
-    if c_mask is not None:
-        kept = int(c_mask.sum())
-        xg = x.reshape(conv.batch, conv.groups, cig, *x.shape[2:])
-        x = np.compress(c_mask, xg, axis=2).reshape(conv.batch, conv.groups * kept, *x.shape[2:])
-
     if x.size == 0:
         return np.zeros(out_shape)
 
-    windowed = tuple(d for d in spatial if conv.dims[d].stride == 1)
-    tables = [
-        np.compress(spatial[d], pattern(dim).table, axis=0) if d in spatial else pattern(dim).table
-        for d, dim in enumerate(conv.dims)
-        if d not in windowed
-    ]
-    operands = [x, *tables, _window(v_y, conv, {d: spatial[d] for d in windowed})]
-    shapes = tuple(a.shape for a in operands)
-
     def make_net() -> Network:
-        # weight_vjp's network at the masked shapes, where v_y's o_d is (k_d, i_d) and
-        # dimension d has no table for each windowed d; a narrowed table has no role
-        net = build_network(conv, "weight_vjp")
-        lhs, out = net.equation.split(" -> ")
-        terms = lhs.split(", ")
-        for d in windowed:
-            terms[-1] = re.sub(rf"\bo{d + 1}\b", f"k{d + 1} i{d + 1}", terms[-1])
-        keep = [p for p in range(len(terms)) if p - 1 not in windowed]  # the tables are at 1 + d
-        return replace(
-            net,
-            equation=", ".join(terms[p] for p in keep) + " -> " + out,
-            operands=[np.broadcast_to(0.0, shape) for shape in shapes],
-            roles={keep.index(p): dim for p, dim in net.roles.items() if p - 1 not in spatial},
-            sources=tuple(None if p - 1 in spatial else net.sources[p] for p in keep),
-        )
+        # weight_vjp's network at x's shape: a masked dimension's pattern is narrowed to x's rows
+        tables = [(x.shape[2 + d], output_size(dim), dim.kernel_size) for d, dim in enumerate(conv.dims)]
+        zeros = [np.broadcast_to(0.0, shape) for shape in (x.shape, *tables, v_y.shape)]
+        return replace(build_network(conv, "weight_vjp"), operands=zeros)
 
-    # the key holds shapes, never a mask: a fresh mask with the same kept counts reuses the plan
-    prep = _prepare(("crs_weight_vjp", conv, shapes, tuple(spatial)), make_net, True)
-    est = prep.run(operands) * scale
+    # the key holds shapes, never a mask: a fresh mask with the same kept counts reuses the plan;
+    # every pattern is gathered, so its slot holds no table
+    prep = _prepare(("crs_weight_vjp", conv, x.shape), make_net, True)
+    est = prep.run([x, *rows, v_y]) * scale
     if c_mask is not None:
         full = np.zeros(out_shape)
         full[:, c_mask] = est
@@ -166,39 +147,17 @@ def masked_weight_vjp(
     return est
 
 
-def _window(v_y: np.ndarray, conv: ConvSpec, masks: dict[int, np.ndarray]) -> np.ndarray:
-    """``v_y`` with each axis ``o_d`` of ``masks`` read as ``(k_d, i_d)`` over the rows ``i`` that
-    ``masks[d]`` keeps.
-
-    At stride 1 the kernel tap ``k`` of input row ``i`` meets ``o == i + P - k*D``,
-    so entry ``[k, j]`` is ``v_y[i + P - k*D]`` at the ``j``-th kept ``i``, or
-    zero where that falls outside ``[0, O)``: one index take per axis, which
-    reads a clipped index there and then zeroes those taps.
-    """
-    for d in sorted(masks, reverse=True):  # each take widens its axis, so later axes go first
-        dim, axis = conv.dims[d], 2 + d
-        taps = dim.padding - dim.dilation * np.arange(dim.kernel_size)[:, None]
-        o = np.flatnonzero(masks[d]) + taps
-        v_y = np.take(v_y, o, axis=axis, mode="clip")
-        v_y[(slice(None),) * axis + ((o < 0) | (o >= output_size(dim)),)] = 0.0
-    return v_y
-
-
 def crs_weight_vjp(
     conv: ConvSpec, x: Tensor, v_y: Tensor, config: CrsConfig
 ) -> CrsEstimate:
     """Draw Bernoulli keep masks from ``config.seed`` and estimate the weight VJP."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    masks: dict[str, np.ndarray] = {}
-    kept: dict[str, float] = {}
-    for axis in sorted(config.keep_probs):
-        p = float(config.keep_probs[axis])
-        size = axis_size(conv, axis)
-        mask = rng.random(size) < p
-        masks[axis] = mask
-        kept[axis] = float(mask.mean())
+    masks = {
+        axis: rng.random(axis_size(conv, axis)) < float(config.keep_probs[axis])
+        for axis in sorted(config.keep_probs)
+    }
     estimate = masked_weight_vjp(conv, x, v_y, masks, config.keep_probs)
-    return CrsEstimate(estimate, kept)
+    return CrsEstimate(estimate, {axis: float(mask.mean()) for axis, mask in masks.items()})
 
 
 def normalized_error(exact: Tensor, estimate: Tensor) -> float:

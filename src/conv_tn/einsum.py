@@ -549,8 +549,8 @@ def contract(spec: EinsumSpec, operands, plan_: ContractionPlan) -> Tensor:
     """Execute ``plan_`` for ``spec`` and return the grouped output tensor.
 
     The operands are trusted: each must be a float64 array of its term's
-    shape, which the op layer (``ops``, and ``crs`` for its narrowed
-    arrays) checks once per call.  Each is reshaped to its entry shape, and
+    shape, which the op layer (``ops``, ``crs``) checks once per call, before
+    the rewrites gather them.  Each is reshaped to its entry shape, and
     one loop runs the plan's ``program``, each step reading its operands in
     the layouts the plan fixed, so execution decides nothing.  Any valid
     plan over the same spec yields the same values.

@@ -116,9 +116,9 @@ class Network:
 
     ``sources`` names, per operand, the input array it holds (``x^2`` for
     the square of ``x``) or the ``(legs, DimSpec)`` of its pattern table.
-    In a CRS network (``crs``) a table narrowed to the kept rows of a
-    stride > 1 dimension is None; ``x`` holds its kept rows, and ``v_y`` its
-    window take over them where a masked dimension has stride 1.
+    A CRS network (``crs``) is ``weight_vjp``'s at narrowed shapes: where
+    ``x`` keeps some rows of a dimension, that pattern's placeholder is
+    narrowed to them too, and a call fills its slot with their indices.
     ``gram`` is its op's table entry's: the network is the Gram of its first
     half, which may be contracted once and joined to its renamed copy.
     """
@@ -340,7 +340,7 @@ def _program(net: Network, keep) -> tuple[tuple, tuple]:
         if isinstance(src, str):
             name = src.removesuffix("^2")
             args.append((pos, name, name != src, net.operands[pos].shape))
-        elif src is not None:
+        else:
             operands[pos] = _table(*src)
     return tuple(operands), tuple(args)
 

@@ -22,6 +22,12 @@ not be multiplied as a dense ``I x O x K`` table:
   operand itself when that is not positive.  This is the direct
   convolution with the flipped kernel that a stride-1 transposed
   convolution is; ``i`` stays an output index, so nothing is folded.
+* **Narrowed.**  The input leg is shorter in the spec than its
+  ``DimSpec``'s, as ``crs`` keeps some rows of ``x``, and the pattern's slot
+  holds their indices at call time.  At stride 1 the output leg's holder
+  is read as ``(k, i)`` at the kept ``i`` only (:class:`Take`), so ``i``
+  is summed at the kept rows' cost; at stride > 1 the input leg's holder is
+  gathered over a zeroed buffer of all ``I`` rows that holds its kept ones.
 * **Fold.**  The other occurrence is the output otherwise.  The contraction
   produces ``(o, k)`` in place of ``i`` (only ``o`` when no other operand
   carries ``k``), and :class:`Fold` writes it back with one strided
@@ -48,7 +54,7 @@ import numpy as np
 
 from . import einsum
 from .pattern import DimSpec, output_size
-from .tensor import Tensor
+from .tensor import Tensor, Unsupported
 
 
 class RewriteKind(enum.Enum):
@@ -78,9 +84,11 @@ class Gather:
     gathered axis ``o`` (stride 1) is the pair ``(k, i)`` reading
     ``y[..., i + P - k*D, ...]``, over ``y`` padded by ``(K-1)*D - P`` on
     each side, or from that offset when it is negative.  ``apply`` trusts
-    its array to be float64 of the operand's shape.  It pads into
-    ``buffers[key]``, zeroed on first use, and later refills only its
-    interior.
+    ``operands[p]`` to be float64 of the operand's shape.  It pads into
+    ``buffers[p]``, zeroed on first use, and later refills only its
+    interior.  An axis ``i`` narrowed to kept rows is padded to all ``I``
+    rows: ``scatter`` holds each such axis and the slot of its kept rows,
+    which are put in their places, so a dropped row reads zero.
     """
 
     padded: tuple[int, ...] | None
@@ -88,16 +96,21 @@ class Gather:
     offset: int
     shape: tuple[int, ...]
     strides: tuple[int, ...]
+    scatter: tuple[tuple[int, int], ...] = ()
 
     @classmethod
-    def build(cls, in_shape, axes: dict[int, tuple[DimSpec, bool]]) -> "Gather":
+    def build(cls, in_shape, axes: dict[int, tuple]) -> "Gather":
         """The view of an operand of ``in_shape`` whose axis ``a`` is ``dim``'s
-        input leg, or its output leg where ``axes[a]`` is ``(dim, True)``."""
-        pads = {}
-        for a, (d, through_o) in axes.items():
+        input leg, or its output leg where ``axes[a]`` is ``(dim, True, None)``,
+        or its input leg narrowed to the rows in slot ``s`` for ``(dim, False, s)``."""
+        pads, in_shape, scatter = {}, list(in_shape), []
+        for a, (d, through_o, s) in sorted(axes.items()):
             pad = (d.kernel_size - 1) * d.dilation - d.padding if through_o else d.padding
             if pad > 0:
                 pads[a] = pad
+            if s is not None:
+                in_shape[a] = d.input_size
+                scatter.append((a, s))
         base = tuple(n + 2 * pads.get(a, 0) for a, n in enumerate(in_shape))
         offset, shape, strides = 0, [], []
         for a, (n, st) in enumerate(zip(base, _c_strides(base))):
@@ -105,7 +118,7 @@ class Gather:
                 shape.append(n)
                 strides.append(st)
                 continue
-            d, through_o = axes[a]
+            d, through_o, _ = axes[a]
             if through_o:  # k = K-1 and i = 0 read the first padded entry, or y[P - (K-1)*D]
                 offset += max((d.kernel_size - 1) * d.dilation, d.padding) * st
                 shape += [d.kernel_size, d.input_size]
@@ -114,17 +127,46 @@ class Gather:
                 shape += [d.kernel_size, output_size(d)]
                 strides += [d.dilation * st, d.stride * st]
         interior = tuple(slice(pads.get(a, 0), pads.get(a, 0) + n) for a, n in enumerate(in_shape))
-        return cls(base if pads else None, interior, offset, tuple(shape), tuple(strides))
+        padded = base if pads or scatter else None
+        return cls(padded, interior, offset, tuple(shape), tuple(strides), tuple(scatter))
 
-    def apply(self, arr: Tensor, buffers: dict, key) -> Tensor:
+    def apply(self, operands, p: int, buffers: dict) -> Tensor:
         if self.padded is None:
-            buf = np.ascontiguousarray(arr)
+            buf = np.ascontiguousarray(operands[p])
         else:
-            buf = buffers.get(key)
+            buf = buffers.get(p)
             if buf is None:
-                buf = buffers[key] = np.zeros(self.padded)
-            buf[self.interior] = arr
+                buf = buffers[p] = np.zeros(self.padded)
+            arr, index = operands[p], list(self.interior)
+            for n, (a, s) in enumerate(self.scatter):
+                index[a] = operands[s] + index[a].start
+                if n + 1 < len(self.scatter):  # one index array per assignment: widen this axis first
+                    wide = np.zeros(arr.shape[:a] + (self.padded[a],) + arr.shape[a + 1 :])
+                    wide[(slice(None),) * a + (index[a],)] = arr
+                    arr, index[a] = wide, slice(None)
+            buf[tuple(index)] = arr
         return np.ndarray(self.shape, np.float64, buf, self.offset, self.strides)
+
+
+@dataclass(frozen=True)
+class Take:
+    """Read one operand's output legs at the kept rows of narrowed patterns.
+
+    ``axes`` holds per axis ``o``, last first as each take widens its axis,
+    the axis, the slot holding the kept rows ``i`` and the dimension.  The
+    new axes ``(k, i)`` read ``y[..., i + P - k*D, ...]`` by one clipped
+    index take from the operand's own buffer, zeroed outside ``[0, O)``.
+    """
+
+    axes: tuple[tuple[int, int, DimSpec], ...]
+
+    def apply(self, operands, p: int, buffers: dict) -> Tensor:
+        arr = operands[p]
+        for a, rows, d in self.axes:
+            o = operands[rows] + (d.padding - d.dilation * np.arange(d.kernel_size))[:, None]
+            arr = np.take(arr, o, axis=a, mode="clip")
+            arr[(slice(None),) * a + ((o < 0) | (o >= output_size(d)),)] = 0.0
+        return arr
 
 
 @dataclass(frozen=True)
@@ -277,13 +319,13 @@ class SimplifyResult:
     plan: einsum.ContractionPlan
     steps: tuple[RewriteStep, ...]
     kept: tuple[int, ...]
-    gathers: dict[int, Gather]
+    gathers: dict[int, Gather | Take]
     fold: Fold | None
 
     def apply(self, operands, buffers=None) -> list:
         gathers, buffers = self.gathers, {} if buffers is None else buffers
         return [
-            operands[p] if p not in gathers else gathers[p].apply(operands[p], buffers, p)
+            operands[p] if p not in gathers else gathers[p].apply(operands, p, buffers)
             for p in self.kept
         ]
 
@@ -304,7 +346,8 @@ def simplify_structure(
     terms = [list(t) for t in spec.operand_terms]
     out_names = list(spec.output_indices)
     alive = list(range(len(terms)))
-    gathered: dict[int, dict[int, tuple[DimSpec, bool]]] = {}
+    # per gathered axis: its dimension, whether through the output leg, and the slot of kept rows
+    gathered: dict[int, dict[int, tuple[DimSpec, bool, int | None]]] = {}
     folds: list[_FoldDim] = []
     steps: list[RewriteStep] = []
 
@@ -330,9 +373,10 @@ def simplify_structure(
             continue
         k_holders = [p for p in others if k_name in names_of([p])]
         k_in_output = k_name in out_names
+        narrowed = spec.sizes[i_name] < dim.input_size
         # the operand read as a window, the leg it is read through and the leg the view adds
         target = None
-        if holders:  # i becomes (k, o)
+        if holders and not (narrowed and dim.stride == 1):  # i becomes (k, o)
             target, leg, other = reader(i_name, term, others), i_name, o_name
             if target is None:
                 continue
@@ -341,10 +385,13 @@ def simplify_structure(
             target, leg, other = reader(o_name, term, others), o_name, i_name
 
         if target is not None:
-            gathered.setdefault(target, {})[spec.operand_terms[target].index(leg)] = (dim, leg == o_name)
+            axes = gathered.setdefault(target, {})
+            axes[spec.operand_terms[target].index(leg)] = (dim, leg == o_name, pos if narrowed else None)
             a_pos = terms[target].index(leg)
             terms[target][a_pos : a_pos + 1] = [k_name, other]
             kind = RewriteKind.GATHER
+        elif narrowed:
+            raise Unsupported(f"a pattern narrowed to kept rows of {i_name} must be taken at them")
         else:
             other_names = names_of(others)
             a_pos = out_names.index(i_name)
@@ -385,11 +432,10 @@ def simplify_structure(
         # Fold reads the result in the order the contraction leaves it in, so none is copied
         new_spec, plan = einsum.in_result_order(new_spec, plan)
         fold = _fold(folds, spec, new_spec.output_indices)
-    gathers = {}
+    gathers: dict[int, Gather | Take] = {}
     for target, axes in gathered.items():
-        in_shape = tuple(
-            math.prod(spec.sizes[m] for m in _members(atom))
-            for atom in spec.operand_terms[target]
-        )
-        gathers[target] = Gather.build(in_shape, axes)
+        # only crs narrows, and its v_y holds output legs only: a taken operand has no other window
+        takes = tuple((a, s, d) for a, (d, o, s) in sorted(axes.items(), reverse=True) if o and s is not None)
+        in_shape = [math.prod(spec.sizes[m] for m in _members(a)) for a in spec.operand_terms[target]]
+        gathers[target] = Take(takes) if takes else Gather.build(in_shape, axes)
     return SimplifyResult(new_spec, plan, tuple(steps), tuple(alive), gathers, fold)

@@ -1,9 +1,10 @@
 """The types every module shares, and the comparison the harnesses use.
 
-Every numeric value in this package lives in a ``numpy.float64`` array.
-An array from outside is converted and its shape checked once, where it
-enters an op (``ops.run_op``, ``crs.masked_weight_vjp``); the rewrites and
-the contraction engine below trust what they are given.
+Every numeric value in this package lives in a ``numpy.float64`` array,
+but for the kept-row indices that ``crs`` puts in a narrowed pattern's
+slot.  An array from outside is converted and its shape checked once,
+where it enters an op (``ops.run_op``, ``crs.masked_weight_vjp``); the
+rewrites and the contraction engine below trust what they are given.
 """
 
 from __future__ import annotations

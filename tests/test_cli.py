@@ -272,10 +272,23 @@ def test_crs_csv(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "layer,mask_seed,normalized_error,kept_c_in,kept_i1,kept_i2"
-    assert len(lines) == 4
+    # every bundled layer has an i1, and each gets one row per mask seed
+    names = [name for name, _ in load_layers(None)]
+    assert [line.split(",")[0] for line in lines[1:]] == [n for n in names for _ in range(3)]
     for line in lines[1:]:
         cells = line.split(",")
         assert float(cells[2]) >= 0.0
+
+
+def test_crs_skips_the_layers_without_a_keep_axis(tmp_path, capsys):
+    line = {"name": "line", "batch": 1, "c_in": 2, "c_out": 2, "dims": [{"i": 6, "k": 3}]}
+    square = {**line, "name": "square", "dims": [{"i": 5, "k": 3}, {"i": 6, "k": 2, "s": 2}]}
+    (tmp_path / "layers.json").write_text(json.dumps([line, square, line | {"name": "line2"}]))
+    code, out, err = run(
+        capsys, "crs", "--config", str(tmp_path / "layers.json"), "--keep-i2", "0.5", "--seeds", "2"
+    )
+    assert code == 0 and "skipped=2" in err
+    assert [row.split(",")[0] for row in out.strip().splitlines()[1:]] == ["square", "square"]
 
 
 def test_load_layers_bundled():

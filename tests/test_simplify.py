@@ -476,3 +476,86 @@ def test_convnext_dw_input_vjp_plans_no_more_flops_with_rewrites():
     costs = op_cost(conv, "input_vjp")
     assert [s.kind for s in costs.rewrites] == [RewriteKind.GATHER] * conv.nd
     assert costs.simplified.flops <= costs.base.flops
+
+
+# stride-1 dimensions whose input leg is narrowed to kept rows: 1d-3d,
+# dilation 1-3, P below, at and beyond (K-1)*D
+NARROWED = (
+    (DimSpec(7, 3, 1, 0, 2),),
+    (DimSpec(8, 3, 1, 2, 1),),
+    (DimSpec(6, 2, 1, 4, 3),),
+    (DimSpec(6, 3, 1, 1), DimSpec(5, 2, 1, 2, 2)),
+    (DimSpec(4, 2, 1, 1), DimSpec(5, 3, 1, 2, 1), DimSpec(6, 2, 1, 4, 3)),
+)
+
+
+@pytest.mark.parametrize("dims", NARROWED)
+@pytest.mark.parametrize("case", ["random", "only ends"])
+def test_a_narrowed_pattern_takes_the_output_leg_at_the_kept_rows(dims, case):
+    # x keeps some rows i, each pattern's slot holds their indices, and v_y's o
+    # becomes (k, i): v_y[..., kept + P - k*D], zero where that is outside [0, O)
+    rng = np.random.default_rng(len(dims))
+    nd = len(dims)
+    rows = []
+    for dim in dims:
+        keep = np.isin(np.arange(dim.input_size), (0, dim.input_size - 1))
+        if case == "random":
+            keep = rng.random(dim.input_size) < 0.5
+            keep[dim.input_size // 2] = True
+        rows.append(np.flatnonzero(keep))
+    i, o, k = (" ".join(f"{leg}{d}" for d in range(1, nd + 1)) for leg in "iok")
+    patterns = [f"i{d} o{d} k{d}" for d in range(1, nd + 1)]
+    equation = f"n c {i}, {', '.join(patterns)}, n c {o} -> c {k}"
+    x = rng.standard_normal((2, 3, *(len(r) for r in rows)))
+    v_y = rng.standard_normal((2, 3, *(output_size(d) for d in dims)))
+    tables = [(len(r), output_size(d), d.kernel_size) for r, d in zip(rows, dims)]
+    spec = einsum.parse(equation, [x.shape, *tables, v_y.shape])
+    result = simplify_structure(spec, {1 + d: dim for d, dim in enumerate(dims)})
+    assert [s.kind for s in result.steps] == [RewriteKind.GATHER] * nd
+    assert result.kept == (0, nd + 1)
+    taken = [f"{leg}{d}" for d in range(1, nd + 1) for leg in "ki"]
+    assert result.spec.operand_terms[1] == ("n", "c", *taken)
+    window = result.apply([x, *rows, v_y])[1]
+    want = np.zeros(window.shape)
+    for at in np.ndindex(*window.shape[2:]):
+        taps = [r[j] + d.padding - kk * d.dilation for r, d, kk, j in zip(rows, dims, at[::2], at[1::2])]
+        if all(0 <= t < output_size(d) for t, d in zip(taps, dims)):
+            want[(..., *at)] = v_y[(..., *taps)]
+    assert np.array_equal(window, want)
+
+
+# stride > 1 dimensions whose input leg is narrowed to kept rows, padded or
+# not; the last has an unnarrowed dimension between two narrowed ones
+NARROWED_STRIDED = (
+    (DimSpec(9, 3, 2, 1, 2),),
+    (DimSpec(8, 4, 4),),
+    (DimSpec(7, 2, 2, 1), DimSpec(6, 1, 2)),
+    (DimSpec(5, 3, 2, 1), DimSpec(4, 2), DimSpec(7, 3, 3, 2)),
+)
+
+
+@pytest.mark.parametrize("dims", NARROWED_STRIDED)
+def test_a_narrowed_strided_pattern_gathers_the_kept_rows_in_place(dims):
+    # x keeps some rows of each strided dimension, and each such pattern's slot
+    # holds their indices: the window is the exact one of x with dropped rows zero
+    rng = np.random.default_rng(len(dims))
+    nd = len(dims)
+    masks = [rng.random(d.input_size) < (0.5 if d.stride > 1 else 2) for d in dims]
+    for m, d in zip(masks, dims):
+        m[[0, -1]] = d.stride == 1, True  # narrowed, and not empty, where strided
+    rows = [np.flatnonzero(m) if d.stride > 1 else None for m, d in zip(masks, dims)]
+    full = rng.standard_normal((2, 3, *(d.input_size for d in dims)))
+    kept = full[np.ix_(range(2), range(3), *(np.flatnonzero(m) for m in masks))]
+    zeroed = full * np.einsum(",".join("abc"[:nd]) + "->" + "abc"[:nd], *masks)
+    i, o, k = (" ".join(f"{leg}{d}" for d in range(1, nd + 1)) for leg in "iok")
+    equation = f"n c {i}, {', '.join(f'i{d} o{d} k{d}' for d in range(1, nd + 1))} -> n c {k} {o}"
+    windows = []
+    for x, slots in ((kept, rows), (zeroed, [None] * nd)):
+        tables = [(x.shape[2 + d], output_size(dim), dim.kernel_size) for d, dim in enumerate(dims)]
+        spec = einsum.parse(equation, [x.shape, *tables])
+        result = simplify_structure(spec, {1 + d: dim for d, dim in enumerate(dims)})
+        assert [s.kind for s in result.steps] == [RewriteKind.GATHER] * nd and result.kept == (0,)
+        scattered = [s for _, s in result.gathers[0].scatter]
+        assert scattered == [1 + d for d, r in enumerate(slots) if r is not None]
+        windows.append(result.apply([x, *slots])[0])
+    assert np.array_equal(*windows)

@@ -94,9 +94,9 @@ def test_sliced_crs_matches_the_whole_batch(monkeypatch, conv):
 
 def test_what_stays_whole(monkeypatch):
     # with every copy over the constant: neither a GEMM step nor a fold stage
-    # that adds shifted slices (fold_output has one), a mirrored form, a dense
-    # pattern table (simplify off) and a CRS-masked dimension of stride > 1 stay
-    # whole; a CRS-masked dimension of stride 1 leaves no table, so it is cut.
+    # that adds shifted slices (fold_output has one), a mirrored form and a dense
+    # pattern table (simplify off) stay whole; CRS runs weight_vjp's network, so
+    # it is cut whichever dimension is masked.
     # Every cut network is also tiled past one sample but one with a fold,
     # which is never tiled
     monkeypatch.setattr(ops, "_SLICE_BYTES", 1)
@@ -131,7 +131,8 @@ def test_what_stays_whole(monkeypatch):
     ops._PREP_CACHE.clear()
     masked_weight_vjp(conv, x, v_y, {"i2": np.arange(5) % 2 == 0}, {"i2": 0.5})
     [prep] = ops._PREP_CACHE.values()
-    assert prep.cut is None
+    exact = ops._planned(conv, "weight_vjp", 2, True)
+    assert prep.cut == exact.cut is not None and prep.tiles is not None
 
 
 def test_no_bundled_network_is_cut():
