@@ -23,14 +23,24 @@ GEMM reads it swapped.  An operand is taken to lie in memory in the order of
 its term (a step result in the order of its ``result``), and the rule is:
 
 * a step's result lists the shared indices, then the smaller one-sided
-  group (the GEMM's rows), then the larger one (its columns);
+  group (the GEMM's rows), then the larger one (its columns).  A last step
+  whose result outgrows both operands instead lists the output's indices in
+  the output's order: it ends in a run of rows that one operand alone holds
+  and a run of columns that the other alone holds, and the indices before
+  them form the batch, where an index that only one operand holds is a unit
+  axis of the other's layout, which ``matmul`` broadcasts.  The product is
+  then made in the output's order, and no output-sized copy follows.  Where
+  that makes GEMMs of fewer than ``_BROADCAST_MIN_TILE`` rows times columns,
+  the step takes the order above and the output is permuted after it;
 * an operand enters as ``[batch][keep][contracted]`` or
   ``[batch][contracted][keep]``, whichever its own order already is (unit
   indices aside), so it is not copied; if neither, it is copied into the
   one whose last group holds its innermost index, so the copy reads memory
   in order.  Where that is not the GEMM's orientation for the operand, it
   is read swapped, as the transposed view numpy's ``matmul`` takes without
-  a copy;
+  a copy.  In a step whose batch broadcasts, a copied operand is copied
+  whole into the GEMM's own order, so its many small matrices are
+  contiguous and unswapped;
 * the contracted group takes the order of an operand that is then not
   copied; the larger operand's if both or neither can be.
 
@@ -57,6 +67,15 @@ Atom = str | tuple[str, ...]
 # a full GGN network fits up to 3d (10) and is refused in 4d (12); its half, which
 # ops contracts once and then squares, has 2 + nd (6 in 4d); simplified it has 4
 MAX_OPERANDS = 10
+
+# An expanding last step made in the output's order saves an output-sized
+# copy, but a one-sided batch index makes matmul run one small GEMM per batch
+# entry, at about 50-120 ns each (one BLAS thread, 2-core Xeon).  Over the
+# bundled layers' expanding steps (fastest of 25 alternating calls), tiles of
+# 2-25 rows x columns lost (ggn_diagonal 2 x 1: 0.048 -> 0.097 ms) and tiles
+# of 32 and more won or tied (transpose_unfold 16 x 16 on resnet_stem, 784
+# GEMMs: 0.30 -> 0.14 ms; unfold_kernel 8 x 8 on alexnet_c3: 2.1 -> 0.48 ms).
+_BROADCAST_MIN_TILE = 32
 
 
 class ParseError(ValueError):
@@ -235,8 +254,13 @@ class Layout(NamedTuple):
 
     The axes in ``presum`` are summed away, the rest permuted by ``perm``
     (None when the array is read in its own order) and reshaped to
-    ``shape``.  A ``swapped`` operand is handed to the GEMM as the transposed
-    view of its last two axes, which numpy's ``matmul`` reads without a copy.
+    ``shape``: one batch axis per run of batch indices that the same operands
+    hold (one axis of size 1 when there is no batch), of size 1 where this
+    operand lacks the run, then the GEMM's two axes.  A ``swapped`` operand
+    is handed to the GEMM as the transposed view of its last two axes, which
+    numpy's ``matmul`` reads without a copy.  With ``dense`` (a step whose
+    batch broadcasts) a permuted array is copied C-ordered even where numpy
+    could reshape it as a view, whose small matrices would be strided.
     """
 
     presum: tuple[int, ...]
@@ -244,11 +268,13 @@ class Layout(NamedTuple):
     shape: tuple[int, ...]
     swapped: bool
 
-    def apply(self, arr: Tensor) -> Tensor:
+    def apply(self, arr: Tensor, dense: bool = False) -> Tensor:
         if self.presum:
             arr = arr.sum(axis=self.presum)
         if self.perm is not None:
             arr = arr.transpose(self.perm)
+            if dense:
+                arr = np.ascontiguousarray(arr)
         arr = arr.reshape(self.shape)
         return arr.swapaxes(-1, -2) if self.swapped else arr
 
@@ -258,9 +284,10 @@ class PlanStep:
     """One pairwise contraction, a batched GEMM.
 
     ``left`` and ``right`` number the operands and then the step results, in
-    order.  ``lhs`` reads the left one as ``(batch, rows, contracted)`` and
-    ``rhs`` the right one as ``(batch, contracted, columns)``; the product is
-    reshaped to ``shape``, one axis per index of ``result``.
+    order.  ``lhs`` reads the left one as ``(*batch, rows, contracted)`` and
+    ``rhs`` the right one as ``(*batch, contracted, columns)``; where the two
+    batch shapes differ, ``matmul`` broadcasts their unit axes.  The product
+    is reshaped to ``shape``, one axis per index of ``result``.
     """
 
     left: int
@@ -280,7 +307,8 @@ class ContractionPlan:
     ``inputs`` holds each operand's flat shape, its grouped axes split;
     ``output`` turns the last result (or the only operand) into the
     output.  ``program`` holds, per step, the positions of the two arrays
-    it reads, their layouts and the shape its result is made in; ``finish``
+    it reads, their layouts, the shape its result is made in and whether its
+    batch broadcasts (``Layout.apply``'s ``dense``); ``finish``
     is ``output``, and ``entry`` the shape each operand enters in.  Each
     array is read once, so a layout that only reshapes its array is done by
     the reshape that makes the array (its flat shape otherwise) and is None.
@@ -303,7 +331,8 @@ class ContractionPlan:
                 made[a], reads[a] = layout.shape, None
         n = len(self.inputs)
         program = tuple(
-            (s.left, s.right, reads[s.left], reads[s.right], made[n + t]) for t, s in enumerate(self.steps)
+            (s.left, s.right, reads[s.left], reads[s.right], made[n + t], s.lhs.shape[:-2] != s.rhs.shape[:-2])
+            for t, s in enumerate(self.steps)
         )
         object.__setattr__(self, "program", program)
         object.__setattr__(self, "finish", reads[-1])
@@ -314,16 +343,16 @@ def _prod_sizes(sizes: dict[str, int], indices) -> int:
     return math.prod([sizes[i] for i in indices])
 
 
-def _result_order(sizes, left_idx, right_idx, surviving, order=None) -> tuple[str, ...]:
+def _result_order(sizes, left_idx, right_idx, surviving) -> tuple[str, ...]:
     """The kept indices: shared, then those of one operand only, then those of the other.
 
-    ``order`` sorts each group and keeps the left operand's group first.
-    Without it the larger one-sided group goes last, as the GEMM's columns:
-    OpenBLAS writes a row-major output with few long rows faster than the
-    same product as many short rows.  On the ``realistic_first_order``
-    benchmark (one BLAS thread, Xeon) this order ran 482 gather calls/s
-    against 440 with the left operand's group always first, faster in 9 of
-    10 alternating runs.
+    The larger one-sided group goes last, as the GEMM's columns: OpenBLAS
+    writes a row-major output with few long rows faster than the same
+    product as many short rows.  On the ``realistic_first_order`` benchmark
+    (one BLAS thread, Xeon) this order ran 482 gather calls/s against 440
+    with the left operand's group always first, faster in 9 of 10
+    alternating runs.  An expanding last step is made in the output's order
+    instead (``_build_plan``).
     """
     lset, rset = set(left_idx), set(right_idx)
     shared = [i for i in left_idx if i in rset and i in surviving]
@@ -331,9 +360,7 @@ def _result_order(sizes, left_idx, right_idx, surviving, order=None) -> tuple[st
         [i for i in left_idx if i not in rset and i in surviving],
         [i for i in right_idx if i not in lset and i in surviving],
     ]
-    if order is not None:
-        shared, *ones = (sorted(g, key=order.index) for g in (shared, *ones))
-    elif _prod_sizes(sizes, ones[0]) > _prod_sizes(sizes, ones[1]):
+    if _prod_sizes(sizes, ones[0]) > _prod_sizes(sizes, ones[1]):
         ones.reverse()
     return tuple(shared + ones[0] + ones[1])
 
@@ -353,73 +380,122 @@ def _layout(idx, big, dead, order, in_order, shape, swapped) -> Layout:
     return Layout(dead, perm, shape, swapped)
 
 
+def _gemm(sizes, result, lset, rset) -> tuple[bool, tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """How one batched GEMM of operands over ``lset`` and ``rset`` makes ``result``.
+
+    Returns whether the two trade sides, and ``result``'s non-unit batch,
+    row and column indices.  The columns are the longest run at the end of
+    ``result`` that the right operand alone holds, the rows the run before
+    it that the left one alone holds, and the rest is the batch.  Of the two
+    sides each operand can take, the one with more rows times columns wins,
+    else the one that gives the left side the first one-sided index of
+    ``result``.
+    """
+    first = next((i not in lset for i in result if (i in lset) != (i in rset)), False)
+    res = [i for i in result if sizes[i] > 1]
+    best = None
+    for swap in (first, not first):
+        rows, cols = (rset, lset) if swap else (lset, rset)
+        t = len(res)
+        while t and res[t - 1] in cols and res[t - 1] not in rows:
+            t -= 1
+        r = t
+        while r and res[r - 1] in rows and res[r - 1] not in cols:
+            r -= 1
+        if best is None or _prod_sizes(sizes, res[r:]) > _prod_sizes(sizes, best[2] + best[3]):
+            best = (swap, tuple(res[:r]), tuple(res[r:t]), tuple(res[t:]))
+    return best
+
+
 def _step(sizes, left, left_idx, right, right_idx, result) -> PlanStep:
     """The step contracting ``left`` and ``right`` into ``result``, with its operand layouts.
 
-    The GEMM's rows are the one-sided group that ``result`` lists first, so
-    the operand holding it becomes ``left``.  Each operand (an input, held
-    C-ordered in its term order, or a step result, in its ``result`` order)
-    enters as ``[batch][keep][contracted]`` or ``[batch][contracted][keep]``,
-    whichever is a reshape of its own order (unit indices aside), so nothing
-    is copied.  If neither is, it is copied into the one whose last group
-    holds its innermost index, so the copy walks memory forwards.  When that
-    is not the order the GEMM takes, the operand is read swapped.  The batch
-    and keep groups follow ``result``; the contracted group follows the
-    order of an operand that is then not copied, the larger operand's if
-    both or neither can be.
+    ``result`` is split by :func:`_gemm`; the operand that holds the rows
+    becomes ``left``.  A batch index that only one operand holds is a unit
+    axis of the other's layout, which ``matmul`` broadcasts, so a result in
+    any order is made C-ordered in that order.  Consecutive batch indices
+    that the same operands hold share one axis.
+
+    Each operand (an input, held C-ordered in its term order, or a step
+    result, in its ``result`` order) enters as ``[batch][keep][contracted]``
+    or ``[batch][contracted][keep]``, whichever is a reshape of its own
+    order (unit indices aside), so nothing is copied.  If neither is, it is
+    copied into the one whose last group holds its innermost index, so the
+    copy walks memory forwards, and read swapped where that is not the
+    order the GEMM takes.  Where the batch broadcasts, the copy is made in
+    the GEMM's own order instead: its GEMMs are many and small, and OpenBLAS
+    runs them fastest on contiguous, unswapped matrices.  The batch and keep
+    groups follow ``result``; the contracted group follows the order of an
+    operand that is then not copied, the larger operand's if both or
+    neither can be.
     """
     lset, rset = set(left_idx), set(right_idx)
-    for i in result:
-        if i not in rset:
-            break
-        if i not in lset:
-            left, left_idx, lset, right, right_idx, rset = right, right_idx, rset, left, left_idx, lset
-            break
+    swap, batch, *keeps = _gemm(sizes, result, lset, rset)
+    if swap:
+        left, left_idx, lset, right, right_idx, rset = right, right_idx, rset, left, left_idx, lset
     kept = set(result)
     # unit indices never decide whether a reshape copies: the orders below omit them
     big = {i for i in lset | rset if sizes[i] > 1}
-    batch = tuple([i for i in result if i in big and i in lset and i in rset])
     lives = (
         tuple([i for i in left_idx if i in big and (i in rset or i in kept)]),
         tuple([i for i in right_idx if i in big and (i in lset or i in kept)]),
     )
-    keeps = (
-        tuple([i for i in result if i in big and i not in rset]),
-        tuple([i for i in result if i in big and i not in lset]),
-    )
     counts = (_prod_sizes(sizes, lives[0]), _prod_sizes(sizes, lives[1]))
+    # the batch axes: one per run of batch indices that the same operands hold
+    runs: list[list[str]] = []
+    for i in batch:
+        if runs and (runs[-1][-1] in lset, runs[-1][-1] in rset) == (i in lset, i in rset):
+            runs[-1].append(i)
+        else:
+            runs.append([i])
     # the contracted group follows an operand that its own order already
     # lays out for the GEMM, so that one is not copied; the larger on a tie
     owns = [tuple([i for i in live if i not in kept]) for live in lives]
-    fits = [live in (batch + keep + own, batch + own + keep) for live, keep, own in zip(lives, keeps, owns)]
+    held = [tuple([i for i in batch if i in live]) for live in lives]
+    fits = [live in (b + keep + own, b + own + keep) for live, b, keep, own in zip(lives, held, keeps, owns)]
     contracted = owns[max((0, 1), key=lambda s: (fits[s], counts[s]))]
 
-    b, k = _prod_sizes(sizes, batch), _prod_sizes(sizes, contracted)
+    k = _prod_sizes(sizes, contracted)
+    lone = any(i not in lset or i not in rset for i in batch)  # the batch broadcasts
     layouts = []
-    for s, (idx, other) in enumerate(((left_idx, rset), (right_idx, lset))):
-        live, keep, m = lives[s], keeps[s], counts[s] // (b * k)
+    for s, (idx, own, other) in enumerate(((left_idx, lset, rset), (right_idx, rset, lset))):
+        live, keep, m = lives[s], keeps[s], _prod_sizes(sizes, keeps[s])
+        b = tuple([_prod_sizes(sizes, run) if run[0] in own else 1 for run in runs]) or (1,)
         # indexed by keep_last; the GEMM reads the left operand keep-first, the right keep-last
-        orders = (batch + keep + contracted, batch + contracted + keep)
+        orders = (held[s] + keep + contracted, held[s] + contracted + keep)
         copied = live not in orders
         if copied:
-            keep_last = live[-1] in keep if live[-1] not in batch else s == 1
+            keep_last = live[-1] in keep if live[-1] not in batch and not lone else s == 1
         else:
             keep_last = s == 1 if live == orders[s] else live == orders[1]
         dead = tuple([a for a, i in enumerate(idx) if i in big and i not in other and i not in kept])
-        shape = (b, k, m) if keep_last else (b, m, k)
+        shape = (*b, k, m) if keep_last else (*b, m, k)
         layouts.append(_layout(idx, big, dead, orders[keep_last], not copied, shape, keep_last != (s == 1)))
     shape = tuple([sizes[i] for i in result])
     return PlanStep(left, right, result, _prod_sizes(sizes, lset | rset), math.prod(shape), *layouts, shape)
 
 
 def _build_plan(spec: EinsumSpec, pairs) -> ContractionPlan:
-    """The plan that runs ``pairs``, each ``(left, right, result)``, in order."""
-    sizes, idx = spec.sizes, list(spec.operand_indices)
+    """The plan that runs ``pairs``, each ``(left, right, result)``, in order.
+
+    A last step whose result outgrows both operands is made in the output's
+    order, whatever ``result`` says, so that no output-sized copy follows
+    it, unless that order broadcasts a batch index over GEMMs of fewer than
+    ``_BROADCAST_MIN_TILE`` rows times columns each.
+    """
+    sizes, idx, out = spec.sizes, list(spec.operand_indices), spec.output_indices
     steps = []
-    for left, right, result in pairs:
+    for t, (left, right, result) in enumerate(pairs):
+        operands = idx[left], idx[right]
+        if t == len(pairs) - 1 and _prod_sizes(sizes, result) > max(_prod_sizes(sizes, o) for o in operands):
+            lset, rset = map(set, operands)
+            _, batch, rows, cols = _gemm(sizes, out, lset, rset)
+            shared = all(i in lset and i in rset for i in batch)
+            if shared or _prod_sizes(sizes, rows + cols) >= _BROADCAST_MIN_TILE:
+                result = out
         steps.append(_step(sizes, left, idx[left], right, idx[right], result))
         idx.append(result)
-    last, out, out_shape = idx[-1], spec.output_indices, spec.output_shape()
+    last, out_shape = idx[-1], spec.output_shape()
     big = {i for i in last if sizes[i] > 1}
     dead = tuple(a for a, i in enumerate(last) if i in big and i not in out)
     order = tuple(i for i in out if i in big)
@@ -501,11 +577,8 @@ def _plan_optimal(spec: EinsumSpec) -> ContractionPlan:
         id_a, idx_a = emit(split[mask])
         id_b, idx_b = emit(mask ^ split[mask])
         kept = {i for i in sizes if surv[mask] & bit[i]}
-        # a last step whose result outgrows both operands follows the output's
-        # order: the closing permutation then copies longer contiguous runs, or nothing
-        grows = _prod_sizes(sizes, kept) > max(_prod_sizes(sizes, idx) for idx in (idx_a, idx_b))
-        order = spec.output_indices if mask == full and grows else None
-        pairs.append((id_a, id_b, _result_order(sizes, idx_a, idx_b, kept, order)))
+        # an expanding last step is given the output's order by _build_plan, which left-deep plans share
+        pairs.append((id_a, id_b, _result_order(sizes, idx_a, idx_b, kept)))
         return n + len(pairs) - 1, pairs[-1][2]
 
     emit(full)
@@ -556,13 +629,13 @@ def contract(spec: EinsumSpec, operands, plan_: ContractionPlan) -> Tensor:
     plan over the same spec yields the same values.
     """
     arrays = [arr.reshape(shape) for arr, shape in zip(operands, plan_.entry)]
-    for left, right, lhs_layout, rhs_layout, shape in plan_.program:
+    for left, right, lhs_layout, rhs_layout, shape, dense in plan_.program:
         lhs, rhs = arrays[left], arrays[right]
         arrays[left] = arrays[right] = None  # each array feeds one step
         if lhs_layout is not None:
-            lhs = lhs_layout.apply(lhs)
+            lhs = lhs_layout.apply(lhs, dense)
         if rhs_layout is not None:
-            rhs = rhs_layout.apply(rhs)
+            rhs = rhs_layout.apply(rhs, dense)
         # an outer product: numpy's matmul is several times slower here than broadcasting
         out = lhs * rhs if lhs.shape[-1] == 1 else np.matmul(lhs, rhs)
         arrays.append(out.reshape(shape))

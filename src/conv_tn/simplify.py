@@ -156,16 +156,24 @@ class Take:
     the axis, the slot holding the kept rows ``i`` and the dimension.  The
     new axes ``(k, i)`` read ``y[..., i + P - k*D, ...]`` by one clipped
     index take from the operand's own buffer, zeroed outside ``[0, O)``.
+    The kept rows hold no batch index, so each axis's ``(K, I')`` index and
+    the entries it zeroes are made once per call and kept in
+    ``buffers[p]`` for the call's other slices.
     """
 
     axes: tuple[tuple[int, int, DimSpec], ...]
 
     def apply(self, operands, p: int, buffers: dict) -> Tensor:
+        reads = buffers.get(p)
+        if reads is None:
+            reads = buffers[p] = []
+            for a, rows, d in self.axes:
+                o = operands[rows] + (d.padding - d.dilation * np.arange(d.kernel_size))[:, None]
+                reads.append((a, o, (slice(None),) * a + np.nonzero((o < 0) | (o >= output_size(d)))))
         arr = operands[p]
-        for a, rows, d in self.axes:
-            o = operands[rows] + (d.padding - d.dilation * np.arange(d.kernel_size))[:, None]
+        for a, o, zero in reads:
             arr = np.take(arr, o, axis=a, mode="clip")
-            arr[(slice(None),) * a + ((o < 0) | (o >= output_size(d)),)] = 0.0
+            arr[zero] = 0.0
         return arr
 
 
@@ -310,9 +318,10 @@ class SimplifyResult:
     is rewritten: ``kept`` holds every position, ``spec`` is the network's,
     ``plan`` is ``einsum.plan``'s for it, and ``apply`` passes the operands
     through.  ``apply`` neither converts nor checks: the op layer has.  It
-    keeps each gather's padded buffer in ``buffers`` under the operand's
-    position, so a call that applies the same rewrites to several slices
-    of a batch with one dict zeroes each buffer once.
+    keeps each gather's padded buffer, and each take's index, in
+    ``buffers`` under the operand's position, so a call that applies the
+    same rewrites to several slices of a batch with one dict zeroes each
+    buffer, and builds each index, once.
     """
 
     spec: einsum.EinsumSpec

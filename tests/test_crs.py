@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conv_tn import ops
+from conv_tn import ops, simplify
 from conv_tn.crs import (
     CrsConfig,
     InvalidProbability,
@@ -16,7 +16,7 @@ from conv_tn.crs import (
     normalized_error,
 )
 from conv_tn.ops import ConvSpec, input_shapes, op_cost, weight_vjp
-from conv_tn.pattern import DimSpec
+from conv_tn.pattern import DimSpec, output_size
 from conv_tn.simplify import Gather, RewriteKind
 from conv_tn.tensor import ShapeMismatch, Unsupported
 from conv_tn.verify import compare
@@ -381,6 +381,22 @@ def test_windowed_dimension_plans_the_kept_fraction(conv):
     assert all(isinstance(prep.net.sources[p], str) for p in prep.sim.kept)
     exact = op_cost(conv, "weight_vjp").simplified.flops
     assert _planned_flops(prep) <= 0.55 * exact
+
+
+def test_a_take_builds_its_index_once_per_call(monkeypatch):
+    # the kept rows hold no n: the slices of one size share the (K, I') index
+    conv = REALISTIC_WINDOWED[2]  # tcn_dilated, cut into slices over n
+    x, v_y = (np.zeros(s) for s in input_shapes(conv, "weight_vjp").values())
+    masks, keep = {"i1": _half_mask(conv, "i1", 18)}, {"i1": 0.5}
+    ops._PREP_CACHE.clear()
+    masked_weight_vjp(conv, x, v_y, masks, keep)
+    [prep] = ops._PREP_CACHE.values()
+    sizes = 1 + sum(tail is not None for _, _, tail in prep.slices)
+    assert len(prep.slices) > sizes
+    built = []
+    monkeypatch.setattr(simplify, "output_size", lambda d: built.append(d) or output_size(d))
+    masked_weight_vjp(conv, x, v_y, masks, keep)
+    assert len(built) == sizes
 
 
 @pytest.mark.parametrize("conv", REALISTIC_STRIDED)

@@ -2,15 +2,17 @@
 
 import itertools
 import math
+import tracemalloc
 from functools import lru_cache
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conv_tn import ops
+from conv_tn import einsum, ops
 from conv_tn.cli import load_layers
 from conv_tn.einsum import (
     MAX_OPERANDS,
@@ -286,13 +288,75 @@ def test_input_group_ungroups():
 
 
 def test_expanding_last_step_matches_nested_loops():
-    # the result outgrows both operands, so the last step follows the output's
-    # order, which interleaves the two operands' indices
-    spec = parse("i o k, c d k -> c o d i", [(5, 4, 2), (3, 6, 2)])
+    # the result outgrows both operands, so the last step is made in the
+    # output's order, which interleaves the two operands' indices: c and o are
+    # batch indices that one operand holds each, d the rows and i the columns
+    spec = parse("i o k, c d k -> c o d i", [(8, 4, 2), (3, 6, 2)])
     rng = np.random.default_rng(7)
-    operands = [rng.standard_normal((5, 4, 2)), rng.standard_normal((3, 6, 2))]
+    operands = [rng.standard_normal((8, 4, 2)), rng.standard_normal((3, 6, 2))]
     want = naive_contract(spec, operands)
-    assert max_rel_err(contract(spec, operands, plan(spec)), want) <= 1e-12
+    plan_ = plan(spec)
+    (step,) = plan_.steps
+    assert step.result == spec.output_indices and plan_.finish is None
+    assert (step.lhs.shape, step.rhs.shape) == ((3, 1, 6, 2), (1, 4, 2, 8))
+    assert max_rel_err(contract(spec, operands, plan_), want) <= 1e-12
+
+
+# (equation, shapes, the left and right layouts' batch axes): a batch index
+# that only one operand holds is a unit axis of the other's layout
+BROADCAST_CASES = (
+    ("n c k, d k -> n d c", [(9, 8, 3), (7, 3)], (9,), (1,)),  # n from the left
+    ("d k, n c k -> n d c", [(7, 3), (9, 8, 3)], (1,), (9,)),  # n from the right
+    ("n c k, d k -> n d c", [(9, 8, 1), (7, 1)], (9,), (1,)),  # k of size 1: a broadcast multiply
+    ("a b c k, a d e k -> a b d c e", [(2, 3, 6, 2), (2, 4, 6, 2)], (2, 3, 1), (2, 1, 4)),  # a 3-d batch group
+)
+
+
+@pytest.mark.parametrize("equation, shapes, lhs_batch, rhs_batch", BROADCAST_CASES)
+def test_broadcast_batch_makes_the_output_in_its_order(equation, shapes, lhs_batch, rhs_batch):
+    spec, operands = _case(equation, shapes)
+    plan_ = plan(spec)
+    (step,) = plan_.steps
+    layouts = {step.left: step.lhs, step.right: step.rhs}
+    assert (layouts[0].shape[:-2], layouts[1].shape[:-2]) == (lhs_batch, rhs_batch)
+    assert plan_.finish is None
+    assert max_rel_err(contract(spec, operands, plan_), naive_contract(spec, operands)) <= 1e-12
+
+
+def test_tiny_broadcast_gemms_keep_the_default_order():
+    # 9 GEMMs of 3 x 2 would each cost more than the copy they save: the step
+    # takes the default order, (d)(n c), and the output is permuted after it
+    spec, operands = _case("n c k, d k -> n d c", [(9, 2, 3), (3, 3)])
+    plan_ = plan(spec)
+    (step,) = plan_.steps
+    assert step.lhs.shape[:-2] == step.rhs.shape[:-2] == (1,)
+    assert plan_.finish.perm is not None
+    assert max_rel_err(contract(spec, operands, plan_), naive_contract(spec, operands)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "layer, op",
+    [
+        ("vgg_block", "unfold_kernel"),
+        ("mobilenet_pw", "unfold_kernel"),
+        ("resnet_stem", "unfold_kernel"),
+        ("resnet_stem", "transpose_unfold"),
+    ],
+)
+def test_expanding_last_step_makes_one_output_sized_array(layer, op):
+    # no closing permutation copies the product: the call's peak is the output
+    # and the operands' copies, which the expanding step's result outgrows
+    conv = dict(load_layers(None))[layer]
+    rng = np.random.default_rng(0)
+    arrays = {k: rng.standard_normal(s) for k, s in ops.input_shapes(conv, op).items()}
+    ops.run_op(conv, op, arrays)  # plans are cached, and not counted below
+    tracemalloc.start()
+    try:
+        out = ops.run_op(conv, op, arrays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * out.nbytes
 
 
 # ------------------------------------------------------- randomized checks
@@ -341,6 +405,30 @@ def test_contract_matches_nested_loops(case):
     want = naive_contract(spec, operands)
     assert max_rel_err(contract(spec, operands, plan(spec)), want) <= 1e-12
     assert max_rel_err(contract(spec, operands, left_deep_plan(spec)), want) <= 1e-12
+
+
+def _expands(spec, plan_):
+    """Whether the last step's result outgrows both arrays it contracts."""
+    if not plan_.steps:
+        return False
+    idx, last = [*spec.operand_indices, *(s.result for s in plan_.steps)], plan_.steps[-1]
+    size = lambda indices: math.prod(spec.sizes[i] for i in indices)  # noqa: E731
+    return size(last.result) > max(size(idx[last.left]), size(idx[last.right]))
+
+
+@given(small_specs())
+@settings(max_examples=120, deadline=None)
+def test_expanding_last_step_ends_without_a_copy(case):
+    # with no floor on the GEMMs' tile every expanding last step is made in the
+    # output's order, by the optimal plan and by a left-deep one alike
+    spec, operands = case
+    want = naive_contract(spec, operands)
+    with mock.patch.object(einsum, "_BROADCAST_MIN_TILE", 1):
+        plans = plan(spec), left_deep_plan(spec)
+    for plan_ in plans:
+        if _expands(spec, plan_):
+            assert plan_.finish is None or (plan_.finish.perm is None and not plan_.finish.presum)
+        assert max_rel_err(contract(spec, operands, plan_), want) <= 1e-12
 
 
 @given(small_specs())
@@ -411,3 +499,14 @@ def test_swapped_operand_reads_on_numpy_1():
     a = np.random.default_rng(2).standard_normal((3, 4))
     view = step.lhs.apply(a.view(_NoMatrixTranspose))
     assert np.shares_memory(view, a) and np.array_equal(view, a.T[None])
+
+
+def test_broadcast_layouts_run_on_numpy_1():
+    # a layout whose batch broadcasts, with its copy made in the GEMM's order,
+    # may use no NumPy 2 attribute either
+    spec, operands = _case("i o k, c d k -> c o d i", [(8, 4, 2), (3, 6, 2)])
+    plan_ = plan(spec)
+    (step,) = plan_.steps
+    assert step.lhs.shape[:-2] != step.rhs.shape[:-2] and step.rhs.perm is not None
+    got = contract(spec, [a.view(_NoMatrixTranspose) for a in operands], plan_)
+    assert max_rel_err(np.asarray(got), naive_contract(spec, operands)) <= 1e-12

@@ -190,17 +190,21 @@ def test_no_roles_remove_nothing_and_plan_the_network_as_it_is():
 # its operands' flat shapes alone.  Those of transpose_unfold, input_vjp and
 # hesscale_input_diag were taken again when a stride-1 pattern whose input leg
 # lands in the output became a gather through its output leg: their stride-1
-# dimensions no longer fold.
+# dimensions no longer fold.  Those of conv_forward, weight_jvp and input_jvp
+# were taken again when an expanding last step came to be made in the output's
+# order, broadcasting a one-sided batch index, or else (GEMMs too small to
+# broadcast) in the order any step takes: on DOWN that step expands and now
+# takes the default order, where it was sorted by the output's.
 PLAN_DIGESTS = {
-    "conv_forward": "2b2002d8b0589a16",
+    "conv_forward": "3ab2b83ee0084781",
     "unfold_input": "32112824e9e724b6",
     "fold_output": "ee318c2ec9f4a2c4",
     "transpose_unfold": "5698510054041c0b",
     "weight_vjp": "86f5d61799099e45",
     "per_sample_weight_vjp": "d2b7755eb350d6b1",
     "input_vjp": "08a77a802410cf66",
-    "weight_jvp": "2b2002d8b0589a16",
-    "input_jvp": "2b2002d8b0589a16",
+    "weight_jvp": "3ab2b83ee0084781",
+    "input_jvp": "3ab2b83ee0084781",
     "im2col_jvp": "32112824e9e724b6",
     "im2col_vjp": "0e4333d1d0619cae",
     "kfac_expand_factor": "7fc8c568abb39721",
