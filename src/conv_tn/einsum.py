@@ -588,15 +588,14 @@ def _plan_optimal(spec: EinsumSpec) -> ContractionPlan:
 def plan(spec: EinsumSpec) -> ContractionPlan:
     """The flop-optimal pairwise contraction order for ``spec``, with every step's layouts.
 
-    Every network of 2 to ``MAX_OPERANDS`` operands gets the exact plan over
-    all binary trees.  The search grows as 3^n, so a larger network raises
-    :class:`Unsupported` before any work.
+    Every network of up to ``MAX_OPERANDS`` operands gets the exact plan
+    over all binary trees, which for one operand has no step.  The search
+    grows as 3^n, so a larger network raises :class:`Unsupported` before
+    any work.
     """
     n = len(spec.operand_terms)
     if n > MAX_OPERANDS:
         raise Unsupported(f"{n} operands: exact planning stops at {MAX_OPERANDS}")
-    if n == 1:
-        return _build_plan(spec, ())
     return _plan_optimal(spec)
 
 

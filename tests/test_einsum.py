@@ -362,6 +362,12 @@ def test_expanding_last_step_makes_one_output_sized_array(layer, op):
 # ------------------------------------------------------- randomized checks
 
 
+def _integers(rng, shape):
+    """Integer-valued float64 entries in [-3, 3]: every sum of products of them
+    is exact, so a result either equals the reference or is wrong."""
+    return rng.integers(-3, 4, shape).astype(np.float64)
+
+
 @st.composite
 def small_specs(draw):
     pool = "abcde"
@@ -378,19 +384,22 @@ def small_specs(draw):
     spec = make_spec(terms, output, sizes)
     seed = draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
-    operands = [rng.standard_normal([sizes[i] for i in t]) for t in terms]
+    operands = [_integers(rng, [sizes[i] for i in t]) for t in terms]
     return spec, operands
 
 
 def _case(equation, shapes):
     rng = np.random.default_rng(len(equation))
-    return parse(equation, shapes), [rng.standard_normal(shape) for shape in shapes]
+    return parse(equation, shapes), [_integers(rng, shape) for shape in shapes]
 
 
 # plans with no step (one of them with nothing to do at all), and steps
 # whose operands are only summed before the GEMM
 NO_STEP = _case("a b -> a b", [(2, 3)]), _case("a b c -> c a", [(2, 3, 4)]), _case("a b -> ", [(2, 3)])
 PRESUM_ONLY = _case("a b, b c d -> a c", [(2, 3), (3, 4, 5)]), _case("a b e, b c -> a", [(2, 3, 2), (3, 4)])
+# with normal operands, 2 of 20,000 seeds of this spec cancelled to a reference
+# of 4e-4 that the engine missed by 9e-16, a relative 2e-12
+CANCELLING = _case("d e b, b d a, a d b, d e b ->", [(2, 3, 3), (3, 2, 2), (2, 2, 3), (2, 3, 3)])
 
 
 @given(small_specs())
@@ -399,12 +408,13 @@ PRESUM_ONLY = _case("a b, b c d -> a c", [(2, 3), (3, 4, 5)]), _case("a b e, b c
 @example(NO_STEP[2])
 @example(PRESUM_ONLY[0])
 @example(PRESUM_ONLY[1])
+@example(CANCELLING)
 @settings(max_examples=120, deadline=None)
 def test_contract_matches_nested_loops(case):
     spec, operands = case
     want = naive_contract(spec, operands)
-    assert max_rel_err(contract(spec, operands, plan(spec)), want) <= 1e-12
-    assert max_rel_err(contract(spec, operands, left_deep_plan(spec)), want) <= 1e-12
+    assert np.array_equal(contract(spec, operands, plan(spec)), want)
+    assert np.array_equal(contract(spec, operands, left_deep_plan(spec)), want)
 
 
 def _expands(spec, plan_):
@@ -428,7 +438,7 @@ def test_expanding_last_step_ends_without_a_copy(case):
     for plan_ in plans:
         if _expands(spec, plan_):
             assert plan_.finish is None or (plan_.finish.perm is None and not plan_.finish.presum)
-        assert max_rel_err(contract(spec, operands, plan_), want) <= 1e-12
+        assert np.array_equal(contract(spec, operands, plan_), want)
 
 
 @given(small_specs())
@@ -450,7 +460,7 @@ def test_operand_commutativity(case):
     swapped_spec = make_spec(swapped_terms, spec.output_term, spec.sizes)
     swapped_operands = [operands[1], operands[0]] + list(operands[2:])
     swapped = contract(swapped_spec, swapped_operands, plan(swapped_spec))
-    assert max_rel_err(swapped, base) <= 1e-12
+    assert np.array_equal(swapped, base)
 
 
 @given(small_specs())
@@ -461,7 +471,7 @@ def test_plan_independence(case):
     spec, operands = case
     optimal = contract(spec, operands, plan(spec))
     chain = contract(spec, operands, left_deep_plan(spec))
-    assert max_rel_err(chain, optimal) <= 1e-12
+    assert np.array_equal(chain, optimal)
 
 
 def test_left_deep_plan_differs_from_the_optimal_one():
