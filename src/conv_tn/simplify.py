@@ -31,12 +31,13 @@ not be multiplied as a dense ``I x O x K`` table:
 * **Fold.**  The other occurrence is the output otherwise.  The contraction
   produces ``(o, k)`` in place of ``i`` (only ``o`` when no other operand
   carries ``k``), and :class:`Fold` writes it back with one strided
-  slice-add per kernel offset, or a plain assignment when ``k`` is an
-  output leg or the offsets span less than one stride.
+  slice-add per kernel offset, or, when ``k`` is an output leg or the
+  offsets span less than one stride, with one assignment per run of
+  offsets that reach the same outputs (one for every unpadded layer).
 * **Diagonal fold.**  The output also holds ``o``, and ``k`` sits on exactly
   one data operand: the unfolded kernel (Toeplitz matrix).  The contraction
-  produces ``k`` in place of ``(o, i)``, and :class:`Fold` assigns each
-  kernel offset's slice, broadcast over ``o``, to the output's strided
+  produces ``k`` in place of ``(o, i)``, and :class:`Fold` assigns each run
+  of kernel offsets, broadcast over ``o``, to the output's strided
   diagonal view where ``i == o*S + k*D - P``.
 
 Patterns whose input leg meets another pattern or several tensors are left
@@ -181,10 +182,13 @@ class Take:
 class _FoldStage:
     """Fold some legs of ``z`` into a fresh array of ``shape``, or into ``out``.
 
-    ``out`` must be a zeroed C-contiguous array of as many elements.
-    ``writes`` holds, per kernel offset combination, the view of that array
-    it writes, as a byte offset, shape and strides whose axes follow
-    ``z``'s, and the index into ``z`` (one axis per index name) it reads.
+    ``out`` must be a zeroed C-contiguous array of as many elements.  The
+    first axis of both shapes is the rows: the axes that lead ``z`` and the
+    array alike, merged into one (a unit axis where there are none).
+    ``writes`` holds, per block of rows and combination of kernel offset
+    runs (``_fold_writes``), the view of that array it writes, as a byte
+    offset, shape and strides whose axes follow ``z``'s with one more per
+    run, and the index into ``z`` it reads.
     """
 
     z_shape: tuple[int, ...]
@@ -214,7 +218,9 @@ class Fold:
     slice-add per offset combination.  The folds that write each output
     entry at most once, those that keep their kernel leg, the diagonal ones
     and those whose kernel spans less than one stride, share one final stage
-    of assignments, since an intermediate would be output-sized.
+    of assignments, one per combination of runs of offsets with the same
+    outputs, since an intermediate would be output-sized.  Where that stage
+    keeps a kernel leg, it goes block by block over its rows (``_fold``).
     """
 
     stages: tuple[_FoldStage, ...]
@@ -249,44 +255,76 @@ class _FoldDim:
         return self.k_in_output or self.diagonal or (d.kernel_size - 1) * d.dilation < d.stride
 
 
-def _fold_writes(folds, z_names, names, sizes):
-    """Per kernel offset combination, the view of a C-ordered array over
-    ``names`` that it writes and the index into the result over ``z_names``
-    that it reads."""
+def _runs(d: DimSpec, merge: bool) -> list[tuple[int, int, int, int]]:
+    """The runs ``(k0, k1, lo, hi)`` of kernel offsets ``k0 <= k < k1`` that
+    reach the input, ``i = o*S + k*D - P``, at the outputs ``o`` in ``[lo, hi)``.
+    Consecutive offsets with the same range form one run when ``merge`` (the
+    valid-range arithmetic of transposed convolutions, Dumoulin & Visin 2016),
+    else each is its own.  Offsets that reach none are left out."""
+    runs = []
+    for k in range(d.kernel_size):
+        shift = k * d.dilation - d.padding
+        lo = max(0, -(shift // d.stride))
+        hi = min(output_size(d), (d.input_size - 1 - shift) // d.stride + 1)
+        if merge and runs and runs[-1][1:] == (k, lo, hi):
+            runs[-1] = (runs[-1][0], k + 1, lo, hi)
+        elif lo < hi:
+            runs.append((k, k + 1, lo, hi))
+    return runs
+
+
+def _fold_writes(folds, z_names, names, sizes, merge: bool, block: int):
+    """Per block of ``block`` rows and combination of kernel offset runs
+    (``_runs``), the view of a C-ordered array over ``names`` that it writes
+    and the index into the result over ``z_names`` that it reads.
+
+    Both lead with the rows.  A run adds an axis at stride ``D`` along ``i``,
+    plus one along ``k`` where ``k`` is an output leg.  It reads ``z`` at its
+    offsets where ``z`` holds ``k``, and is broadcast from a unit axis where
+    ``z`` does not, or along the diagonal's ``o``.
+    """
     stride = dict(zip(names, _c_strides([sizes[x] for x in names])))
-    writes = []
-    for offsets in itertools.product(*(range(f.dim.kernel_size) for f in folds)):
-        offset = 0
-        axes = {x: (sizes[x], stride[x]) for x in z_names if x in stride}
-        src = {x: slice(None) for x in z_names}
-        for f, k in zip(folds, offsets):
+    rows, writes = z_names[0], []
+    for r, runs in itertools.product(
+        range(0, sizes[rows], block), itertools.product(*(_runs(f.dim, merge) for f in folds))
+    ):
+        offset = r * stride[rows]
+        axes = {x: [(sizes[x], stride[x])] for x in z_names if x in stride}
+        axes[rows] = [(min(block, sizes[rows] - r), stride[rows])]
+        src = {x: (slice(None),) for x in z_names} | {rows: (slice(r, r + block),)}
+        for f, (k0, k1, lo, hi) in zip(folds, runs):
             d = f.dim
-            shift = k * d.dilation - d.padding
-            lo = max(0, -(shift // d.stride))
-            hi = min(output_size(d), (d.input_size - 1 - shift) // d.stride + 1)
-            if lo >= hi:
-                break
-            offset += (lo * d.stride + shift) * stride[f.i]
+            offset += (lo * d.stride + k0 * d.dilation - d.padding) * stride[f.i]
+            run = (k1 - k0, d.dilation * stride[f.i] + (stride[f.k] if f.k_in_output else 0))
             if f.diagonal:
-                # out[o, o*S + shift] for o in [lo, hi), all from z's entry at k
+                # out[o, o*S + k*D - P] for o in [lo, hi), all from z's entry at k
                 offset += lo * stride[f.o]
-                axes[f.k] = (hi - lo, stride[f.o] + d.stride * stride[f.i])
-                src[f.k] = slice(k, k + 1)
+                axes[f.k] = [run, (hi - lo, stride[f.o] + d.stride * stride[f.i])]
+                src[f.k] = (slice(k0, k1), None)
                 continue
-            axes[f.o] = (hi - lo, d.stride * stride[f.i])
-            src[f.o] = slice(lo, hi)
-            if f.k_in_result:
-                src[f.k] = k
             if f.k_in_output:
-                offset += k * stride[f.k]
-        else:
-            shape, strides = zip(*(axes[x] for x in z_names if x in axes))
-            writes.append(((offset, shape, strides), tuple(src[x] for x in z_names)))
+                offset += k0 * stride[f.k]
+            view = (hi - lo, d.stride * stride[f.i])
+            if f.k_in_result:
+                axes[f.k], src[f.k] = [run], (slice(k0, k1),)
+                axes[f.o], src[f.o] = [view], (slice(lo, hi),)
+            else:
+                axes[f.o], src[f.o] = [run, view], (None, slice(lo, hi))
+        shape, strides = zip(*(a for x in z_names if x in axes for a in axes[x]))
+        writes.append(((offset, shape, strides), tuple(i for x in z_names for i in src[x])))
     return tuple(writes)
 
 
 def _fold(folds, spec: einsum.EinsumSpec, z_names) -> Fold:
-    """The fold from a contraction result over ``z_names`` to the output of ``spec``."""
+    """The fold from a contraction result over ``z_names`` to the output of ``spec``.
+
+    A final stage that keeps a kernel leg in the output, makes more than one
+    write and is larger than ``ops._SLICE_BYTES`` writes its rows block by
+    block, each block of the most rows that fit (at least one), so every
+    write of a block lands on pages that are still in cache.
+    """
+    from .ops import _SLICE_BYTES  # ops imports this module
+
     keep = [f for f in folds if f.once]
     groups = [[f] for f in folds if not f.once] + ([keep] if keep else [])
     stages = []
@@ -296,12 +334,21 @@ def _fold(folds, spec: einsum.EinsumSpec, z_names) -> Fold:
             names = tuple(f.i if x == f.o else x for x in z_names if x != f.k)
         else:
             names = spec.output_indices
+        lead = len(list(itertools.takewhile(lambda pair: pair[0] == pair[1], zip(names, z_names))))
+        rows = names[:lead]  # the name of the merged rows
+        sizes = spec.sizes | {rows: math.prod(spec.sizes[x] for x in rows)}
+        z_rows, out_rows = (rows, *z_names[lead:]), (rows, *names[lead:])
+        merge, block = group is keep, sizes[rows]
+        nbytes = 8 * math.prod(sizes[x] for x in out_rows)
+        if merge and any(f.k_in_output for f in group) and nbytes > _SLICE_BYTES:
+            if math.prod(len(_runs(f.dim, merge)) for f in group) > 1:  # more than one write
+                block = max(1, _SLICE_BYTES * block // nbytes)
         stages.append(
             _FoldStage(
-                z_shape=tuple(spec.sizes[x] for x in z_names),
-                shape=tuple(spec.sizes[x] for x in names),
-                writes=_fold_writes(group, z_names, names, spec.sizes),
-                accumulate=group is not keep,
+                z_shape=tuple(sizes[x] for x in z_rows),
+                shape=tuple(sizes[x] for x in out_rows),
+                writes=_fold_writes(group, z_rows, out_rows, sizes, merge, block),
+                accumulate=not merge,
             )
         )
         z_names = names

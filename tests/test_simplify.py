@@ -563,3 +563,114 @@ def test_a_narrowed_strided_pattern_gathers_the_kept_rows_in_place(dims):
         assert scattered == [1 + d for d, r in enumerate(slots) if r is not None]
         windows.append(result.apply([x, *slots])[0])
     assert np.array_equal(*windows)
+
+
+# The exact fold grid's dimensions: a kernel shorter than, as long as and
+# longer than its stride; no padding, padding inside the span (K-1)*D and
+# padding at or beyond it; dilation; and a 5-tap kernel at stride 2 whose
+# middle offsets share one output range, as 7x7 / S2 / P3 does.
+FOLD_DIMS = (
+    DimSpec(9, 2, 3, 1),  # K < S, P = (K-1)*D
+    DimSpec(8, 2, 2),  # K = S, P = 0
+    DimSpec(9, 3, 2, 1),  # K > S, 0 < P < (K-1)*D
+    DimSpec(6, 3, 2, 3),  # P > (K-1)*D
+    DimSpec(11, 3, 2, 2, 2),  # D > 1
+    DimSpec(10, 5, 2, 2),  # runs of several offsets
+    DimSpec(7, 3, 1, 1),  # stride 1: gathered, not folded, where it can be
+)
+FOLD_OPS = ("transpose_unfold", "unfold_kernel", "fold_output", "im2col_vjp", "input_vjp")
+
+
+def _fold_grid(seed=0, count=14):
+    """1d-3d layers that cycle through ``FOLD_DIMS`` in every dimension, every
+    other one grouped, with batch and channels drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    for j in range(count):
+        dims = tuple(FOLD_DIMS[(j + 3 * a) % len(FOLD_DIMS)] for a in range(1 + j % 3))
+        groups = 1 + j % 2
+        yield ConvSpec(
+            int(rng.integers(1, 3)), groups, groups * int(rng.integers(1, 3)),
+            groups * int(rng.integers(1, 3)), dims,
+        )
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_folds_equal_the_oracle_exactly(monkeypatch, budget):
+    # integer-valued inputs make every sum exact: a fold entry written twice,
+    # or missed, changes the result.  With a 1-byte budget every network that
+    # may be cut is, and every blocked stage writes one row per block.
+    monkeypatch.setattr(ops, "_PREP_CACHE", {})
+    if budget is not None:
+        monkeypatch.setattr(ops, "_SLICE_BYTES", budget)
+    rng = np.random.default_rng(24)
+    for conv in _fold_grid():
+        for op in FOLD_OPS:
+            if op == "unfold_kernel" and conv.groups != 1:
+                continue
+            shapes = input_shapes(conv, op)
+            arrays = {k: rng.integers(-3, 4, s).astype(float) for k, s in shapes.items()}
+            got = run_op(conv, op, arrays, simplify=True)
+            assert np.array_equal(got, oracle_run(conv, op, arrays)), (conv, op)
+            fold = ops._PREP_CACHE[(op, conv, 2, True)].sim.fold
+            if op == "transpose_unfold" and fold is not None and budget is not None:
+                # one row per block (n g c_out, and k where the leg is gathered),
+                # where there is more than one write
+                [stage], runs = fold.stages, _fold_runs(conv)
+                assert len(stage.writes) == runs * (stage.shape[0] if runs > 1 else 1), conv
+
+
+def _fold_runs(conv):
+    """The writes of one block of ``conv``'s ``transpose_unfold``: a view per
+    combination of runs of offsets that reach the same outputs, over the
+    dimensions of stride > 1 (the others are gathered)."""
+    return math.prod(len(set(_ranges(d)) - {None}) for d in conv.dims if d.stride > 1)
+
+
+def _ranges(d):
+    # per offset, the outputs o whose position o*S + k*D - P lies inside the input
+    for k in range(d.kernel_size):
+        shift = k * d.dilation - d.padding
+        o = [o for o in range(output_size(d)) if 0 <= o * d.stride + shift < d.input_size]
+        yield (o[0], o[-1] + 1) if o else None
+
+
+def _stage_writes(conv, op):
+    net = build_network(conv, op)
+    spec = einsum.parse(net.equation, [a.shape for a in net.operands], sizes=net.seeds)
+    return [len(s.writes) for s in simplify_structure(spec, net.roles).fold.stages]
+
+
+def test_an_assignment_writes_one_view_per_run_of_offsets():
+    # one offset per write would give K per dimension: 16, 49 and 9 * 9 below
+    patchify = ConvSpec(2, 1, 3, 4, (DimSpec(16, 4, 4),) * 2)
+    for op in ("transpose_unfold", "fold_output", "im2col_vjp", "input_vjp", "unfold_kernel"):
+        assert _stage_writes(patchify, op) == [1], op
+    stem = ConvSpec(1, 1, 1, 2, (DimSpec(16, 7, 2, 3),) * 2)  # 7x7 / S2 / P3, 200 KB out
+    assert _stage_writes(stem, "transpose_unfold") == [16] == [_fold_runs(stem)]
+    layers = [c for _, c in load_layers(None) if c.groups == 1]
+    unpadded = [c for c in layers if not any(d.padding for d in c.dims)]
+    assert len(unpadded) == 11
+    for conv in unpadded:
+        assert _stage_writes(conv, "unfold_kernel") == [1], conv
+    # overlapping views add one offset at a time, one stage per dimension
+    overlapping = ConvSpec(2, 1, 3, 4, (DimSpec(9, 3, 2, 1), DimSpec(11, 3, 2, 2, 2)))
+    for op in ("fold_output", "im2col_vjp", "input_vjp"):
+        assert _stage_writes(overlapping, op) == [3, 3], op
+
+
+def test_a_blocked_fold_writes_views_of_its_output_only(monkeypatch):
+    # 16 rows (n c_out) of 401 KB: over the 640 KB budget, so each of the 16
+    # runs' views is written one row at a time, and z is read in place
+    monkeypatch.setattr(ops, "_PREP_CACHE", {})
+    conv = ConvSpec(2, 1, 3, 8, (DimSpec(32, 7, 2, 3),) * 2)
+    assert _stage_writes(conv, "transpose_unfold") == [16 * 16]
+    y = np.random.default_rng(0).standard_normal(input_shapes(conv, "transpose_unfold")["y"])
+    run_op(conv, "transpose_unfold", {"y": y}, simplify=True)  # planned, and not counted below
+    tracemalloc.start()
+    try:
+        out = run_op(conv, "transpose_unfold", {"y": y}, simplify=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes > ops._SLICE_BYTES
+    assert peak <= 1.05 * out.nbytes
