@@ -7,7 +7,6 @@ Subcommands:
   of the mirrored evaluation that runs in place of a curvature network, and
   of the slices a network is cut into over the batch
 * ``pattern``  print one index pattern as JSON
-* ``bench``    time engine vs reference, CSV output
 * ``crs``      sampled weight-gradient error sweep, CSV output
 
 Exit codes: 0 on success, 1 when verification finds a mismatch, 2 for
@@ -19,10 +18,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import itertools
 import json
 import sys
-import time
 from importlib import resources
 
 import numpy as np
@@ -32,7 +29,7 @@ from .crs import CrsConfig, axis_size, crs_weight_vjp, normalized_error
 from .ops import ConvSpec, OP_NAMES, op_cost
 from .pattern import DimSpec, classify, output_size, pattern
 from .tensor import Unsupported
-from .verify import default_grid, make_inputs, oracle_run, run_verification, tn_run
+from .verify import default_grid, run_verification
 
 
 class ConfigError(ValueError):
@@ -200,39 +197,6 @@ def cmd_pattern(args) -> int:
     return 0
 
 
-def _time_call(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def cmd_bench(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    layers, selected = load_layers(args.config), _selected_ops(args)
-    skipped = 0
-    with _out_stream(args) as stream:
-        writer = csv.writer(stream)
-        writer.writerow(["layer", "op", "variant", "min_seconds", "flops", "max_intermediate"])
-        for (name, conv), op in itertools.product(layers, selected):
-            arrays = make_inputs(conv, op, rng)
-            try:
-                costs = op_cost(conv, op)
-                oracle_secs = _time_call(lambda: oracle_run(conv, op, arrays), args.repeats)
-            except Unsupported:
-                skipped += 1
-                continue
-            for variant, simplify in (("tn", False), ("tn_simplified", True)):
-                tn_run(conv, op, arrays, simplify=simplify)  # warm the plan cache
-                secs = _time_call(lambda: tn_run(conv, op, arrays, simplify=simplify), args.repeats)
-                writer.writerow([name, op, variant, f"{secs:.6e}", *costs.ran(simplify)])
-            writer.writerow([name, op, "oracle", f"{oracle_secs:.6e}", "", ""])
-    print(f"skipped={skipped}", file=sys.stderr)
-    return 0
-
-
 def cmd_crs(args) -> int:
     given = {"c_in": args.keep_c_in, "i1": args.keep_i1, "i2": args.keep_i2}
     keep_probs = {axis: p for axis, p in given.items() if p is not None}
@@ -322,13 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dilation", type=int, default=1)
     p.add_argument("--output", help="write to this file instead of stdout")
     p.set_defaults(fn=cmd_pattern)
-
-    p = sub.add_parser("bench", help="time engine vs reference")
-    _add_common(p, op=True, output=True)
-    p.add_argument(
-        "--repeats", type=positive_int, default=3, help="timing repetitions, min is kept"
-    )
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("crs", help="sampled weight-gradient error sweep")
     _add_common(p, output=True)

@@ -25,21 +25,21 @@ come from the table.  Channel names inside a term count channels per
 group; the grouped axis ``(g c_out)`` is the full channel dimension.  The
 1/N scale of the KFAC factors is applied here; the engine never scales.
 
-Every call, ``crs``'s too, takes one path.  A network is parsed, rewritten (with no
-pattern roles when simplify is off, which removes nothing) and planned from
-shapes alone, and cached on (op, layer, columns, simplify) with the list of
-arrays and pattern tables a call fills its operands from.  Ops whose entries
-expand to one network (``_aliases``: ``weight_jvp`` is ``conv_forward``'s)
-share its rewrites and plans, each entry naming its own arrays, and the two
-settings of a network share its parse and Gram step.  A warm call
-converts each array to float64 and checks its shape, the only check it
-makes, then gathers once per slice of the batch and contracts and folds
-once per tile of the slice.  That is one slice and one tile unless the
-network's copies are large: then a slice holds as many samples as keep its
-copies under ``_SLICE_BYTES``, and where one sample's copy is still larger,
-a tile holds as many rows of its window's first spatial leg.  It then takes
-the Gram of a declared Gram's half, and scales, each where the prepared
-network has it.
+Every call, ``crs``'s too, takes one path.  A network is parsed,
+rewritten (with no pattern roles when simplify is off, which removes
+nothing) and planned from shapes alone.  Its program is cached on what
+decides its result, so ops whose entries expand to one network
+(``weight_jvp`` is ``conv_forward``'s), layers that differ only in legs the
+network does not read, and both settings of a network with no pattern role
+share one.  The call key (op, layer, columns, simplify) maps to that
+program with the op's arrays bound.  A warm call converts each array to
+float64 and checks its shape, the only check it makes, then gathers once
+per slice of the batch and contracts and folds once per tile of the slice.
+That is one slice and one tile unless the network's copies are large: then
+a slice holds as many samples as keep its copies under ``_SLICE_BYTES``,
+and where one sample's copy is still larger, a tile holds as many rows of
+its window's first spatial leg.  It then takes the Gram of a declared
+Gram's half, and scales, each where the prepared network has it.
 """
 
 from __future__ import annotations
@@ -441,7 +441,7 @@ def _mirror(
     net: Network, spec: einsum.EinsumSpec, roles: dict, gram: _Gram | None = None
 ) -> tuple[SimplifyResult, _Gram] | None:
     """``net``'s first half, rewritten with ``roles``, and its Gram step (``gram`` where given,
-    as the other setting planned it), if ``net`` is a Gram."""
+    as the parse's cache entry holds it), if ``net`` is a Gram."""
     if not net.gram:
         return None
     h = len(net.sources) // 2
@@ -687,11 +687,22 @@ class _Prepared(NamedTuple):
         return out
 
 
+# The prepare cache is emptied once it holds this many entries, of all three kinds.
+_PREP_BOUND = 4096
+
 _PREP_CACHE: dict = {}
 
 
-def _prepare(key, make_net, use_simplify: bool, same=None, other=None) -> _Prepared:
-    """Parse, rewrite and plan the network ``make_net()``, cached under ``key``.
+def _store(key, value):
+    """Cache ``value`` under ``key``, emptying the cache first if it is full, and return it."""
+    if len(_PREP_CACHE) >= _PREP_BOUND:
+        _PREP_CACHE.clear()
+    _PREP_CACHE[key] = value
+    return value
+
+
+def _prepare(key, make_net, use_simplify: bool) -> _Prepared:
+    """Parse, rewrite and plan the network ``make_net()``, cached under the call key ``key``.
 
     Without simplify the rewrites get no pattern roles, so they remove
     nothing and the plan is ``einsum.plan``'s for the network.  A network
@@ -701,24 +712,31 @@ def _prepare(key, make_net, use_simplify: bool, same=None, other=None) -> _Prepa
     is not planned when V holds no more elements than the half's data
     operands.
 
-    ``same`` and ``other``, entries of the same network at this setting and
-    the other (``_planned``), lend all but the arrays ``make_net()``'s
-    sources name, and the parse and Gram step that no pattern role changes.
-
-    The key holds everything that decides the result, the network's scale
-    included; the rewrites depend on the patterns' hyper-parameters, not
-    only on their shapes.  The cache is emptied once it holds 4096 entries.
+    A miss builds the network and binds its own arrays to the program
+    cached on its equation, shapes, pattern sources (``(legs, DimSpec)`` by
+    position), seeds, scale, Gram flag and whether any pattern role is
+    rewritten.  Programs share the parse and Gram step cached on the
+    equation, shapes and seeds.  The cache, of these three kinds of entry,
+    is emptied once it holds ``_PREP_BOUND``.
     """
     hit = _PREP_CACHE.get(key)
     if hit is None:
         net = make_net()
-        if same is not None:
-            hit = same._replace(net=net, args=_program(net, same.sim.kept)[1])
-        else:
-            shapes = [a.shape for a in net.operands]
-            spec = other.spec if other else einsum.parse(net.equation, shapes, sizes=net.seeds)
-            roles = net.roles if use_simplify else {}
-            mirror = mirrored = _mirror(net, spec, roles, other and other.gram)
+        shapes = tuple(a.shape for a in net.operands)
+        seeds = tuple(net.seeds.items())
+        roles = net.roles if use_simplify else {}
+        patterns = tuple(None if isinstance(s, str) else s for s in net.sources)
+        program_key = (net.equation, shapes, patterns, seeds, net.scale, net.gram, bool(roles))
+        program = _PREP_CACHE.get(program_key)
+        if program is None:
+            parse_key = (net.equation, shapes, seeds)
+            parsed = _PREP_CACHE.get(parse_key) or _store(
+                parse_key, [einsum.parse(net.equation, shapes, sizes=net.seeds), None]
+            )
+            spec = parsed[0]
+            mirror = mirrored = _mirror(net, spec, roles, parsed[1])
+            if mirrored is not None:
+                parsed[1] = mirrored[1]
             if mirror is None or not _surely_cheaper(mirror[1], net):
                 try:
                     full = simplify_structure(spec, roles)
@@ -733,10 +751,11 @@ def _prepare(key, make_net, use_simplify: bool, same=None, other=None) -> _Prepa
             sliced = None if mirrored is not None else _slicing(net, spec, sim, roles)
             sim, slices, tiles, cut, adds = sliced or (sim, _WHOLE, None, None, False)
             alias = sim.kept[0] if stepless else None
-            hit = _Prepared(net, spec, sim, gram, *_program(net, sim.kept), alias, slices, tiles, cut, adds)
-        if len(_PREP_CACHE) >= 4096:
-            _PREP_CACHE.clear()
-        _PREP_CACHE[key] = hit
+            program = _store(
+                program_key,
+                _Prepared(net, spec, sim, gram, *_program(net, sim.kept), alias, slices, tiles, cut, adds),
+            )
+        hit = _store(key, program._replace(net=net, args=_program(net, program.sim.kept)[1]))
     return hit
 
 
@@ -754,34 +773,10 @@ def _surely_cheaper(gram: _Gram, net: Network) -> bool:
     return gram.v_elements <= data
 
 
-@lru_cache(maxsize=256)
-def _aliases(op: str, nd: int) -> tuple[str, ...]:
-    """The ops whose entries expand to ``op``'s network over ``nd`` dimensions, ``op`` included:
-    the same equation, patterns and flags, over arrays of any names, squared or not."""
-
-    def network(o: str) -> tuple:
-        eq, sources, _ = _expanded(o, nd)
-        return eq, [isinstance(s, str) or s for s in sources], _OPS[o][1:]
-
-    return tuple(o for o in OP_NAMES if network(o) == network(op))
-
-
 def _planned(conv: ConvSpec, op: str, columns: int, use_simplify: bool) -> _Prepared:
-    """``op``'s entry, made from a cached entry of an op of its network (``_aliases``) if there is one."""
-    same, other = (
-        next(filter(None, (_PREP_CACHE.get((o, conv, columns, s)) for o in _aliases(op, conv.nd))), None)
-        for s in (use_simplify, not use_simplify)
-    )
-
-    def make_net() -> Network:
-        like = same or other
-        if like is None:
-            return build_network(conv, op, None, columns=columns)
-        # op's array names, in like's places; like's pattern sources hold the layer's dims
-        own = (s if isinstance(s, str) else t for s, t in zip(_expanded(op, conv.nd)[1], like.net.sources))
-        return replace(like.net, sources=tuple(own))
-
-    return _prepare((op, conv, columns, use_simplify), make_net, use_simplify, same, other)
+    """``op``'s call entry over ``conv``: its network's program (``_prepare``) with ``op``'s arrays bound."""
+    key = (op, conv, columns, use_simplify)
+    return _prepare(key, lambda: build_network(conv, op, columns=columns), use_simplify)
 
 
 def run_op(

@@ -10,7 +10,7 @@ import pytest
 
 from conv_tn import verify
 from conv_tn.cli import ConfigError, load_layers, main
-from conv_tn.ops import ConvSpec, op_cost
+from conv_tn.ops import ConvSpec
 from conv_tn.pattern import DimSpec
 from conv_tn.verify import run_verification
 
@@ -131,12 +131,12 @@ def test_bad_config_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [("--config", "bad.json"), ("--op", "bogus")])
-def test_bench_refused_config_keeps_the_output_file(tmp_path, capsys, argv):
+def test_flops_refused_config_keeps_the_output_file(tmp_path, capsys, argv):
     (tmp_path / "bad.json").write_text(json.dumps([{"name": "x"}]))
     target = tmp_path / "results.csv"
     target.write_text("earlier results\n")
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
-    code, _, err = run(capsys, "bench", *argv, "--output", str(target))
+    code, _, err = run(capsys, "flops", *argv, "--output", str(target))
     assert code == 2 and err.startswith("error:")
     assert target.read_text() == "earlier results\n"
 
@@ -161,7 +161,6 @@ def test_crs_refused_layer_keeps_the_output_file(tmp_path, capsys, keep):
     [
         ("flops", "--op", "conv_forward"),
         ("pattern", "--input-size", "3", "--kernel-size", "2"),
-        ("bench", "--op", "conv_forward", "--repeats", "1"),
         ("crs", "--keep-i1", "0.5", "--seeds", "1"),
     ],
 )
@@ -176,7 +175,6 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     "argv",
     [
         ("verify", "--count"),
-        ("bench", "--op", "conv_forward", "--repeats"),
         ("crs", "--keep-i1", "0.5", "--seeds"),
     ],
 )
@@ -221,48 +219,6 @@ def test_flops_reports_the_mirrored_evaluation(capsys):
             assert mirror["half_flops"] + mirror["final_flops"] <= row[key]["flops"]
     # most GGN Gram matrices, with and without rewrites, run as one half and its Gram
     assert mirrored > sum(row["op"] == "ggn_gram" for row in rows)
-
-
-def test_bench_writes_the_flops_of_the_evaluation_it_timed(tmp_path, capsys):
-    layer = {"name": "tiny", "batch": 2, "groups": 1, "c_in": 2, "c_out": 3, "dims": [{"i": 6, "k": 3}]}
-    path = tmp_path / "tiny.json"
-    path.write_text(json.dumps([layer]))
-    code, out, _ = run(
-        capsys, "bench", "--config", str(path), "--op", "kfac_expand_factor", "--repeats", "1"
-    )
-    assert code == 0
-    flops = {line.split(",")[2]: int(line.split(",")[4] or 0) for line in out.strip().splitlines()[1:]}
-    (_, conv), = load_layers(str(path))
-    costs = op_cost(conv, "kfac_expand_factor")
-    assert costs.mirrored is not None and costs.mirrored_base is not None
-    assert flops["tn"] == costs.mirrored_base.flops < costs.base.flops
-    assert flops["tn_simplified"] == costs.mirrored.flops <= costs.simplified.flops
-
-
-def test_bench_csv_header(tmp_path, capsys):
-    layers = {
-        "layers": [
-            {
-                "name": "tiny",
-                "batch": 1,
-                "groups": 1,
-                "c_in": 1,
-                "c_out": 1,
-                "dims": [{"i": 4, "k": 2}],
-            }
-        ]
-    }
-    path = tmp_path / "layers.json"
-    path.write_text(json.dumps(layers))
-    code, out, _ = run(
-        capsys,
-        "bench", "--config", str(path), "--op", "conv_forward", "--repeats", "1",
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "layer,op,variant,min_seconds,flops,max_intermediate"
-    variants = {line.split(",")[2] for line in lines[1:]}
-    assert {"tn", "tn_simplified", "oracle"} <= variants
 
 
 def test_crs_csv(capsys):

@@ -192,6 +192,12 @@ def test_depthwise_after_same_shape_dense_layer():
         assert np.allclose(est, exact, rtol=1e-12, atol=1e-12)
 
 
+def _crs_entry():
+    """The call entry of the one CRS call since the cache was cleared."""
+    [prep] = [p for key, p in ops._PREP_CACHE.items() if key[0] == "crs_weight_vjp"]
+    return prep
+
+
 def _arrays(obj):
     """Every numpy array reachable from ``obj`` through containers and dataclasses."""
     if isinstance(obj, np.ndarray):
@@ -222,17 +228,20 @@ def test_plan_cache_keeps_no_operand_data():
     masks["i2"] = np.array([0, 1, 1, 0, 1], dtype=bool)  # a stride-2 dimension too
     masked_weight_vjp(conv, x, v_y, masks, {"c_in": 0.5, "i1": 0.5, "i2": 0.6})
     weight_vjp(conv, x, v_y, simplify=True)
-    assert len(ops._PREP_CACHE) == 3
+    keys = set(ops._PREP_CACHE)
+    assert len([key for key in keys if key[0] in ("crs_weight_vjp", "weight_vjp")]) == 3
     # other masks that keep as many rows and channels reuse the plans
     masks = {"c_in": np.array([False, True]), "i1": np.array([0, 1, 1, 0, 1, 1], dtype=bool)}
     masked_weight_vjp(conv, x, v_y, masks, {"c_in": 0.5, "i1": 0.5})
     masks["i2"] = np.array([1, 1, 0, 0, 1], dtype=bool)
     masked_weight_vjp(conv, x, v_y, masks, {"c_in": 0.5, "i1": 0.5, "i2": 0.6})
-    assert len(ops._PREP_CACHE) == 3
-    for key, prep in ops._PREP_CACHE.items():
-        assert all(not any(a.strides) for a in prep.net.operands)
+    assert set(ops._PREP_CACHE) == keys
+    # call, program and parse entries alike
+    for key, entry in ops._PREP_CACHE.items():
+        if isinstance(entry, ops._Prepared):
+            assert all(not any(a.strides) for a in entry.net.operands)
         assert not list(_arrays(key))
-        for a in _arrays(prep):
+        for a in _arrays(entry):
             assert a.dtype == np.float64 and (not any(a.strides) or not a.flags.writeable)
 
 
@@ -266,7 +275,7 @@ def test_estimate_is_the_exact_vjp_of_the_zero_masked_input(conv):
             ops._PREP_CACHE.clear()
             est = masked_weight_vjp(conv, x, v_y, masks, keep)
             assert compare(est, exact) <= 1e-12, chosen
-            [prep] = ops._PREP_CACHE.values()
+            prep = _crs_entry()
             _assert_is_weight_vjps_network(conv, masks, prep)
 
 
@@ -376,7 +385,7 @@ def test_windowed_dimension_plans_the_kept_fraction(conv):
     ops._PREP_CACHE.clear()
     masks = {"i1": _half_mask(conv, "i1", 18)}
     masked_weight_vjp(conv, x, v_y, masks, {"i1": 0.5})
-    [prep] = ops._PREP_CACHE.values()
+    prep = _crs_entry()
     _assert_is_weight_vjps_network(conv, masks, prep)
     assert all(isinstance(prep.net.sources[p], str) for p in prep.sim.kept)
     exact = op_cost(conv, "weight_vjp").simplified.flops
@@ -390,7 +399,7 @@ def test_a_take_builds_its_index_once_per_call(monkeypatch):
     masks, keep = {"i1": _half_mask(conv, "i1", 18)}, {"i1": 0.5}
     ops._PREP_CACHE.clear()
     masked_weight_vjp(conv, x, v_y, masks, keep)
-    [prep] = ops._PREP_CACHE.values()
+    prep = _crs_entry()
     sizes = 1 + sum(tail is not None for _, _, tail in prep.slices)
     assert len(prep.slices) > sizes
     built = []
@@ -408,7 +417,7 @@ def test_strided_dimension_plans_the_exact_vjp(conv):
     ops._PREP_CACHE.clear()
     masks = {"i1": _half_mask(conv, "i1", 19)}
     masked_weight_vjp(conv, x, v_y, masks, {"i1": 0.5})
-    [prep] = ops._PREP_CACHE.values()
+    prep = _crs_entry()
     _assert_is_weight_vjps_network(conv, masks, prep)
     exact = ops._planned(conv, "weight_vjp", 2, True)
     assert prep.sim.plan == exact.sim.plan and prep.cut == exact.cut

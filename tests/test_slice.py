@@ -38,7 +38,12 @@ def own_cache(monkeypatch):
 def _prep(op, conv):
     ops._PREP_CACHE.clear()
     run_op(conv, op, make_inputs(conv, op, np.random.default_rng(0)), simplify=True)
-    [prep] = ops._PREP_CACHE.values()
+    return ops._PREP_CACHE[(op, conv, 2, True)]
+
+
+def _crs_entry():
+    """The call entry of the one CRS call since the cache was cleared."""
+    [prep] = [p for key, p in ops._PREP_CACHE.items() if key[0] == "crs_weight_vjp"]
     return prep
 
 
@@ -59,7 +64,7 @@ def test_sliced_results_match_the_whole_batch(monkeypatch, conv, op, samples):
     assert _prep(op, conv).cut is None  # small layers run whole
     _cut_to(monkeypatch, op, conv, samples)
     got = run_op(conv, op, arrays, simplify=True)
-    [prep] = ops._PREP_CACHE.values()
+    prep = ops._PREP_CACHE[(op, conv, 2, True)]
     assert prep.cut.legs == {"n": samples} and prep.tiles is None
     assert len(prep.slices) == math.ceil(conv.batch / samples)
     # a short last slice runs its own plan, planned at its own size
@@ -87,7 +92,7 @@ def test_sliced_crs_matches_the_whole_batch(monkeypatch, conv):
     monkeypatch.setattr(ops, "_SLICE_BYTES", 1)
     ops._PREP_CACHE.clear()
     got = masked_weight_vjp(conv, arrays["x"], arrays["v_y"], masks, keep)
-    [prep] = ops._PREP_CACHE.values()
+    prep = _crs_entry()
     assert prep.cut.legs["n"] == 1 and len(prep.slices) == conv.batch
     assert compare(got, whole) <= 1e-12
 
@@ -126,11 +131,11 @@ def test_what_stays_whole(monkeypatch):
     x, v_y = make_inputs(conv, "weight_vjp", np.random.default_rng(5)).values()
     ops._PREP_CACHE.clear()
     masked_weight_vjp(conv, x, v_y, {"i1": np.arange(6) % 2 == 0}, {"i1": 0.5})
-    [prep] = ops._PREP_CACHE.values()
+    prep = _crs_entry()
     assert prep.cut is not None and prep.tiles is not None
     ops._PREP_CACHE.clear()
     masked_weight_vjp(conv, x, v_y, {"i2": np.arange(5) % 2 == 0}, {"i2": 0.5})
-    [prep] = ops._PREP_CACHE.values()
+    prep = _crs_entry()
     exact = ops._planned(conv, "weight_vjp", 2, True)
     assert prep.cut == exact.cut is not None and prep.tiles is not None
 
@@ -226,7 +231,7 @@ def test_tiled_results_match_the_oracle(monkeypatch, conv, op, rows):
     monkeypatch.setattr(ops, "_SLICE_BYTES", rows * per_sample // size)
     ops._PREP_CACHE.clear()
     got = run_op(conv, op, arrays, simplify=True)
-    [prep] = ops._PREP_CACHE.values()
+    prep = ops._PREP_CACHE[(op, conv, 2, True)]
     ref = oracle_run(conv, op, arrays)
     assert compare(got, getattr(ref, "weight", ref)) <= 1e-12
     if prep.sim.fold is not None:  # stride 2 on i1: input_vjp folds, and a fold is never tiled
